@@ -9,7 +9,13 @@
 //!   ResBlock;
 //! * [`execute_mha`] / [`execute_ffn`] — a **bit-exact interpreter**
 //!   driving the quantized datapath command by command (outputs equal
-//!   [`quantized::QuantMhaResBlock::forward`] exactly);
+//!   [`quantized::QuantMhaResBlock::forward`] exactly). As in the
+//!   paper's partition, every projection, `W_G`, `W_1` and `W_2`
+//!   command streams its `s`-row activations against one weight panel
+//!   that stays resident: [`quantized::QLinear::forward_cols`] reads
+//!   the panel's columns straight out of the layer's prepacked weights
+//!   and fuses bias and requantization into the drain, so no command
+//!   copies or repacks a weight;
 //! * [`schedule_program`] — a **timing interpreter** mapping the same
 //!   commands onto the unit timeline (cycle counts equal
 //!   [`crate::scheduler`]'s, asserted by tests).
@@ -20,8 +26,9 @@
 use hwsim::cycles::Cycle;
 use hwsim::timeline::{EventId, Timeline};
 use quantized::softmax::scaled_masked_softmax;
-use quantized::{QLinear, QuantFfnResBlock, QuantMhaResBlock};
+use quantized::{QuantFfnResBlock, QuantMhaResBlock};
 use serde::Serialize;
+use std::ops::Range;
 use tensor::{gemm, Mat};
 
 use crate::config::AccelConfig;
@@ -297,17 +304,26 @@ pub fn validate_ffn_program(
     Ok(())
 }
 
-/// A slice of a quantized linear layer restricted to columns
-/// `[c0, c0 + width)`, applied bit-exactly.
-fn linear_cols(lin: &QLinear, x: &Mat<i8>, c0: usize, width: usize) -> Mat<i8> {
-    let w = lin
-        .weight_q()
-        .submatrix(0, c0, lin.weight_q().rows(), width)
-        .expect("column slice");
-    let acc = gemm::matmul_i8(x, &w).expect("widths");
-    Mat::from_fn(acc.rows(), acc.cols(), |r, c| {
-        lin.requantize_col(c0 + c, acc[(r, c)] + lin.bias_q()[c0 + c])
-    })
+/// Output columns of weight panel `panel` in a `width`-column matrix:
+/// `PANEL_COLS` wide, the last panel ragged.
+fn panel_cols(panel: usize, width: usize) -> Range<usize> {
+    let c0 = panel * PANEL_COLS;
+    c0..width.min(c0 + PANEL_COLS)
+}
+
+/// The `s` residual adders: `g[:, cols] = panel + x[:, cols]`, widened to
+/// the LayerNorm's `i32` input.
+fn residual_into(g: &mut Mat<i32>, cols: Range<usize>, panel: &Mat<i8>, x: &Mat<i8>) {
+    for r in 0..g.rows() {
+        let dst = &mut g.row_mut(r)[cols.clone()];
+        for ((d, &p), &xv) in dst
+            .iter_mut()
+            .zip(panel.row(r))
+            .zip(&x.row(r)[cols.clone()])
+        {
+            *d = p as i32 + xv as i32;
+        }
+    }
 }
 
 /// Bit-exact execution of [`mha_program`] against a quantized block.
@@ -331,6 +347,7 @@ pub fn execute_mha(
     let mut scores: Vec<Option<Mat<i32>>> = vec![None; h];
     let mut probs: Vec<Option<Mat<i8>>> = vec![None; h];
     let mut p_panels: Vec<Option<Mat<i8>>> = vec![None; h];
+    let mut p_cat: Option<Mat<i8>> = None;
     let mut g: Mat<i32> = Mat::zeros(xq.rows(), wq.weight_q().cols());
     let mut ln_out: Option<Mat<i8>> = None;
     let score_tiles = qk_plan(xkv.rows()).tiles;
@@ -338,13 +355,13 @@ pub fn execute_mha(
     for cmd in program {
         match *cmd {
             Command::ProjectQ { head } => {
-                q[head] = Some(linear_cols(wq, xq, head * d_k, d_k));
+                q[head] = Some(wq.forward_cols(xq, head * d_k..(head + 1) * d_k));
             }
             Command::ProjectK { head } => {
-                k[head] = Some(linear_cols(wk, xkv, head * d_k, d_k));
+                k[head] = Some(wk.forward_cols(xkv, head * d_k..(head + 1) * d_k));
             }
             Command::ProjectV { head } => {
-                v[head] = Some(linear_cols(wv, xkv, head * d_k, d_k));
+                v[head] = Some(wv.forward_cols(xkv, head * d_k..(head + 1) * d_k));
             }
             Command::ScoreTile { head, tile } => {
                 // tiles are produced in order; compute the whole score
@@ -376,18 +393,18 @@ pub fn execute_mha(
                 p_panels[head] = Some(acc.map(|&a| block.requantize_p(a)));
             }
             Command::OutputPanel { panel } => {
-                let p: Vec<Mat<i8>> = p_panels
-                    .iter()
-                    .map(|m| m.clone().expect("all Contexts before OutputPanel"))
-                    .collect();
-                let p = Mat::hconcat(&p).expect("heads share rows");
-                let c0 = panel * d_k;
-                let g_cols = linear_cols(wo, &p, c0, d_k);
-                for r in 0..g.rows() {
-                    for c in 0..d_k {
-                        g[(r, c0 + c)] = g_cols[(r, c)] as i32 + xq[(r, c0 + c)] as i32;
-                    }
-                }
+                // `P` is concatenated once, on the first output panel:
+                // every context panel exists by then.
+                let p = p_cat.get_or_insert_with(|| {
+                    let heads: Vec<Mat<i8>> = p_panels
+                        .iter_mut()
+                        .map(|m| m.take().expect("all Contexts before OutputPanel"))
+                        .collect();
+                    Mat::hconcat(&heads).expect("heads share rows")
+                });
+                let cols = panel * d_k..(panel + 1) * d_k;
+                let g_cols = wo.forward_cols(p, cols.clone());
+                residual_into(&mut g, cols, &g_cols, xq);
             }
             Command::LayerNorm => {
                 ln_out = Some(block.layernorm().forward(&g));
@@ -413,24 +430,19 @@ pub fn execute_ffn(program: &[Command], block: &QuantFfnResBlock, x: &Mat<i8>) -
     for cmd in program {
         match *cmd {
             Command::FfnHidden { panel } => {
-                let c0 = panel * PANEL_COLS;
-                let width = PANEL_COLS.min(d_ff - c0);
-                let cols = linear_cols(w1, x, c0, width);
+                let cols = panel_cols(panel, d_ff);
+                let h_cols = w1.forward_cols(x, cols.clone());
                 for r in 0..hidden.rows() {
-                    for c in 0..width {
-                        hidden[(r, c0 + c)] = cols[(r, c)].max(0); // fused ReLU
+                    let dst = &mut hidden.row_mut(r)[cols.clone()];
+                    for (d, &v) in dst.iter_mut().zip(h_cols.row(r)) {
+                        *d = v.max(0); // fused ReLU
                     }
                 }
             }
             Command::FfnOutput { panel } => {
-                let c0 = panel * PANEL_COLS;
-                let width = PANEL_COLS.min(d_model - c0);
-                let cols = linear_cols(w2, &hidden, c0, width);
-                for r in 0..g.rows() {
-                    for c in 0..width {
-                        g[(r, c0 + c)] = cols[(r, c)] as i32 + x[(r, c0 + c)] as i32;
-                    }
-                }
+                let cols = panel_cols(panel, d_model);
+                let g_cols = w2.forward_cols(&hidden, cols.clone());
+                residual_into(&mut g, cols, &g_cols, x);
             }
             Command::LayerNorm => {
                 ln_out = Some(block.layernorm().forward(&g));
@@ -604,6 +616,61 @@ mod tests {
         let got = execute_ffn(&program, &qffn, &x);
         let (want, _) = qffn.forward(&x);
         assert_eq!(got, want);
+    }
+
+    /// The paper's shape (`d_model` 512, `h` 8, `d_ff` 2048): every
+    /// command streams a 64-column panel of the resident weights, at one
+    /// row (the GEMV path), eight rows and the full 64-row array, with
+    /// and without the causal mask.
+    #[test]
+    fn paper_shape_execution_is_bit_identical_to_the_datapath() {
+        let cfg = ModelConfig::transformer_base();
+        let (qmha, qffn, _) = blocks(&cfg, 64);
+        let mut rng = StdRng::seed_from_u64(0x512);
+        let ffn_prog = ffn_program(cfg.d_model, cfg.d_ff);
+        for s in [1usize, 8, 64] {
+            let xf = tensor::init::normal(&mut rng, s, cfg.d_model, 1.0);
+            let xq = qmha.quantize_input_q(&xf);
+            let program = mha_program(cfg.h, s);
+            let mask = tensor::ops::causal_mask(s);
+            for mask in [None, Some(&mask)] {
+                let got = execute_mha(&program, &qmha, &xq, &xq, mask);
+                let (want, _) = qmha.forward(&xq, &xq, mask);
+                assert_eq!(got, want, "MHA s = {s}, masked = {}", mask.is_some());
+            }
+            let x = qffn.quantize_input(&xf);
+            let (want, _) = qffn.forward(&x);
+            assert_eq!(execute_ffn(&ffn_prog, &qffn, &x), want, "FFN s = {s}");
+        }
+    }
+
+    /// `d_model` 100 and `d_ff` 300 are not multiples of the 64-column
+    /// panel: the last hidden and output panels are ragged, and every
+    /// panel after the first starts off the 16-lane tile grid of a
+    /// narrower pack.
+    #[test]
+    fn ragged_ffn_panels_execute_bit_identically() {
+        let cfg = ModelConfig {
+            name: "ragged".into(),
+            d_model: 100,
+            d_ff: 300,
+            h: 4,
+            n_layers: 1,
+            vocab: 16,
+            max_len: 8,
+        };
+        let mut rng = StdRng::seed_from_u64(0x100);
+        let ffn = FfnResBlock::new(&cfg, &mut rng);
+        let calib: Vec<Mat<f32>> = (0..3)
+            .map(|_| tensor::init::normal(&mut rng, 8, cfg.d_model, 1.0))
+            .collect();
+        let qffn = QuantFfnResBlock::from_f32(&ffn, &calib);
+        let program = ffn_program(cfg.d_model, cfg.d_ff);
+        for s in [1usize, 7] {
+            let x = qffn.quantize_input(&tensor::init::normal(&mut rng, s, cfg.d_model, 1.0));
+            let (want, _) = qffn.forward(&x);
+            assert_eq!(execute_ffn(&program, &qffn, &x), want, "s = {s}");
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@
 
 use std::time::Instant;
 
+use bench_harness::stats::percentile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -51,14 +52,6 @@ const N_CONCURRENT: usize = 8;
 const PREFILL_CHUNK: usize = 64;
 /// Fixed KV memory budget for the sessions-per-budget comparison.
 const KV_BUDGET: usize = 256 << 20;
-
-/// Nearest-rank percentile (`q` in 0..=100) of an unsorted sample set.
-fn percentile(samples: &mut [f64], q: f64) -> f64 {
-    assert!(!samples.is_empty(), "empty sample set");
-    samples.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    let rank = ((q / 100.0) * samples.len() as f64).ceil() as usize;
-    samples[rank.clamp(1, samples.len()) - 1]
-}
 
 /// One share level of the sequential TTFT sweep, cold (cache disabled)
 /// vs warm (cache enabled) on the identical request stream.

@@ -13,6 +13,7 @@
 //!
 //! Writes `results/BENCH_serving.json`.
 
+use bench_harness::stats::percentile;
 use bench_harness::{render_table, write_json};
 use frontdoor::{
     AdmissionConfig, Arrival, Client, DoorConfig, FrontDoor, ServerFrame, Workload, WorkloadConfig,
@@ -32,13 +33,6 @@ const MAX_NEW: u32 = 8;
 const SWEEP_REQUESTS: usize = 120;
 const PROBE_REQUESTS: usize = 96;
 const MAX_BATCH: usize = 8;
-
-fn percentile(samples: &mut [f64], q: f64) -> f64 {
-    assert!(!samples.is_empty(), "empty sample set");
-    samples.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    let rank = ((q / 100.0) * samples.len() as f64).ceil() as usize;
-    samples[rank.clamp(1, samples.len()) - 1]
-}
 
 #[derive(Serialize)]
 struct LoadPoint {

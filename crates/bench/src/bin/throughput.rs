@@ -26,6 +26,7 @@
 use std::time::Instant;
 
 use accel::EngineStats;
+use bench_harness::stats::percentile;
 use hwsim::cycles::Cycle;
 use quantized::incremental::KvArena;
 use rand::rngs::StdRng;
@@ -66,14 +67,6 @@ struct BatchPoint {
     /// Modeled fraction of the `64 × 64` array's MAC capacity used by
     /// one decode step at this batch size.
     array_utilization: f64,
-}
-
-/// Nearest-rank percentile (`q` in 0..=100) of an unsorted sample set.
-fn percentile(samples: &mut [f64], q: f64) -> f64 {
-    assert!(!samples.is_empty(), "empty latency sample set");
-    samples.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let rank = ((q / 100.0) * samples.len() as f64).ceil() as usize;
-    samples[rank.clamp(1, samples.len()) - 1]
 }
 
 /// The long-prompt/short-answer workload: chunked prefill through the

@@ -1,5 +1,6 @@
 //! Shared helpers for the experiment binaries (`src/bin/*`): aligned
-//! text tables and JSON result dumps under `results/`.
+//! text tables, JSON result dumps under `results/`, and the order
+//! statistics in [`stats`].
 //!
 //! Each binary regenerates one artifact of the paper's evaluation
 //! section; see DESIGN.md's experiment index (E1–E11) and EXPERIMENTS.md
@@ -12,6 +13,8 @@ use std::fs;
 use std::path::Path;
 
 use serde::Serialize;
+
+pub mod stats;
 
 /// Renders an aligned text table.
 ///

@@ -15,6 +15,7 @@
 use fixedmath::quant::{QuantParams, Requantizer};
 use fixedmath::sat::sat_i8;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use tensor::prepack::{self, PackedI8};
 use tensor::Mat;
 use transformer::linear::Linear;
@@ -234,6 +235,46 @@ impl QLinear {
         out
     }
 
+    /// [`QLinear::forward`] restricted to the output columns `cols`:
+    /// one weight panel of the paper's partition, streamed from the
+    /// resident prepacked weights (no weight copy, no repack) with bias
+    /// and requantization fused into the drain. Bit-identical to
+    /// `forward(x)` on those columns.
+    ///
+    /// Unlike `forward`, this does not run the fault/checker seam: the
+    /// accelerator simulation that drives it injects its faults into the
+    /// command stream instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != d_in` or `cols` is not a range of
+    /// `0 .. d_out`.
+    pub fn forward_cols(&self, x: &Mat<i8>, cols: Range<usize>) -> Mat<i8> {
+        let bias = &self.bias_q[cols.clone()];
+        let requants = if self.requants.len() == 1 {
+            &self.requants[..]
+        } else {
+            &self.requants[cols.clone()]
+        };
+        prepack::matmul_i8_prepacked_fused_cols(
+            x,
+            &self.w_packed,
+            cols,
+            |_r, acc, out: &mut [i8]| {
+                if let [rq] = requants {
+                    for ((o, &a), &b) in out.iter_mut().zip(acc).zip(bias) {
+                        *o = rq.apply_sat_i8(a + b);
+                    }
+                } else {
+                    for (((o, &a), &b), rq) in out.iter_mut().zip(acc).zip(bias).zip(requants) {
+                        *o = rq.apply_sat_i8(a + b);
+                    }
+                }
+            },
+        )
+        .expect("qlinear width mismatch")
+    }
+
     /// Fused `Linear → ReLU`: bias, requantization and the activation
     /// all run in the GEMM's drain while each accumulator row is still
     /// in registers — the INT8 pre-activation tensor is never
@@ -408,6 +449,30 @@ mod tests {
         let direct = q.forward(&xq);
         let via_requant = Mat::from_fn(acc.rows(), acc.cols(), |r, c| q.requantize(acc[(r, c)]));
         assert_eq!(direct, via_requant);
+    }
+
+    #[test]
+    fn forward_cols_equals_forward_restricted() {
+        for scheme in [QuantScheme::PerTensor, QuantScheme::PerChannel] {
+            let (_, q, x) = make_layer(8, 40, 70, scheme);
+            let xq = q.quantize_input(&x);
+            let full = q.forward(&xq);
+            for (c0, width) in [(0, 70), (0, 16), (8, 8), (17, 30), (64, 6), (33, 0)] {
+                let want = full.submatrix(0, c0, full.rows(), width).unwrap();
+                assert_eq!(
+                    q.forward_cols(&xq, c0..c0 + width),
+                    want,
+                    "{scheme:?} {c0}+{width}"
+                );
+                let row = xq.submatrix(2, 0, 1, 40).unwrap();
+                let want = want.submatrix(2, 0, 1, width).unwrap();
+                assert_eq!(
+                    q.forward_cols(&row, c0..c0 + width),
+                    want,
+                    "GEMV {c0}+{width}"
+                );
+            }
+        }
     }
 
     #[test]

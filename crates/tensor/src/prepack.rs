@@ -27,6 +27,12 @@
 //! and the per-element accumulation order are exactly the same — only
 //! the packing work moves from per-call to per-weight-lifetime.
 //!
+//! The fused INT8 entry point also runs over a column range
+//! ([`matmul_i8_prepacked_cols_epilogue`]): the packed tiles covering
+//! the range are a contiguous slice of the pack, so one `512 x 64`
+//! weight panel of the paper's partition streams from the resident
+//! layer weights with no copy and no repack.
+//!
 //! `quantized::QLinear` packs eagerly at construction (its weights are
 //! immutable); `transformer::Linear` caches lazily and invalidates when
 //! the optimiser mutates the weights.
@@ -34,6 +40,7 @@
 use crate::gemm;
 use crate::{par, Mat, ShapeError};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A `k x n` matrix frozen in the register-microkernel's packed-tile
 /// layout (`[tile][p][lane]`, `NR` lanes per tile, last tile
@@ -297,7 +304,28 @@ where
     O: Copy + Default + Send,
     F: Fn(usize, &[i32], &mut [O]) + Sync,
 {
-    matmul_i8_prepacked_epilogue(a, b, gemm::auto_threads(a.rows(), a.cols(), b.n), epi)
+    matmul_i8_prepacked_fused_cols(a, b, 0..b.n, epi)
+}
+
+/// [`matmul_i8_prepacked_cols_epilogue`] with the automatic worker
+/// count of an `a.rows() x a.cols() x cols.len()` GEMM.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if `a.cols() != b.k()` or `cols` is not a
+/// range of `0 .. b.n()`.
+pub fn matmul_i8_prepacked_fused_cols<O, F>(
+    a: &Mat<i8>,
+    b: &PackedI8,
+    cols: Range<usize>,
+    epi: F,
+) -> Result<Mat<O>, ShapeError>
+where
+    O: Copy + Default + Send,
+    F: Fn(usize, &[i32], &mut [O]) + Sync,
+{
+    let threads = gemm::auto_threads(a.rows(), a.cols(), cols.len());
+    matmul_i8_prepacked_cols_epilogue(a, b, cols, threads, epi)
 }
 
 /// `f32` GEMM against a prepacked `B` with a **fused epilogue**: after a
@@ -353,6 +381,9 @@ where
 /// same kernels), so any per-element epilogue matching the unfused op
 /// sequence yields bit-identical results to the unfused pipeline.
 ///
+/// This is [`matmul_i8_prepacked_cols_epilogue`] over all `b.n()`
+/// columns.
+///
 /// # Errors
 ///
 /// Returns [`ShapeError`] if `a.cols() != b.k()`.
@@ -366,35 +397,74 @@ where
     O: Copy + Default + Send,
     F: Fn(usize, &[i32], &mut [O]) + Sync,
 {
-    if a.cols() != b.k {
+    matmul_i8_prepacked_cols_epilogue(a, b, 0..b.n, threads, epi)
+}
+
+/// [`matmul_i8_prepacked_epilogue`] restricted to the output columns
+/// `cols`: returns the `a.rows() x cols.len()` product `a * B[:, cols]`
+/// drained through `epi`, where `acc_row` and `out_row` hold only those
+/// columns.
+///
+/// This is how one systolic-array pass reads its resident weight panel:
+/// the column tiles `⌊start/16⌋ .. ⌈end/16⌉` are a contiguous slice of
+/// the packed quads and column sums, so the kernels stream them in
+/// place with no weight copy and no repack. A start that is not on a
+/// 16-lane tile boundary and a ragged last tile both work: the kernels
+/// accumulate whole tiles and `epi` sees the sub-row beginning at
+/// `start`.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if `a.cols() != b.k()` or `cols` is not a
+/// range of `0 .. b.n()`.
+pub fn matmul_i8_prepacked_cols_epilogue<O, F>(
+    a: &Mat<i8>,
+    b: &PackedI8,
+    cols: Range<usize>,
+    threads: usize,
+    epi: F,
+) -> Result<Mat<O>, ShapeError>
+where
+    O: Copy + Default + Send,
+    F: Fn(usize, &[i32], &mut [O]) + Sync,
+{
+    if a.cols() != b.k || cols.start > cols.end || cols.end > b.n {
         return Err(ShapeError::new(
             "matmul_i8_prepacked",
             a.shape(),
-            (b.k, b.n),
+            (b.k, cols.end),
         ));
     }
-    let (m, n) = (a.rows(), b.n);
+    let (m, n) = (a.rows(), cols.len());
     let mut out = Mat::<O>::zeros(m, n);
     if n == 0 {
         return Ok(out);
     }
+    // Whole tiles covering `cols`; `span` accumulator columns per row,
+    // of which `epi` sees `skip .. skip + n`.
+    let (t0, t1) = (cols.start / gemm::NR, cols.end.div_ceil(gemm::NR));
+    let tile_len = b.k.div_ceil(gemm::KQ) * gemm::NR * gemm::KQ;
+    let quads = &b.quads[t0 * tile_len..t1 * tile_len];
+    let colsum = &b.colsum[t0 * gemm::NR..t1 * gemm::NR];
+    let span = (t1 * gemm::NR).min(b.n) - t0 * gemm::NR;
+    let skip = cols.start - t0 * gemm::NR;
     let au = if crate::simd::int8_simd_active() {
         gemm::offset_rows(a, threads)
     } else {
         Vec::new()
     };
     if m == 1 {
-        let mut acc = vec![0i32; n];
-        gemm::run_gemv_i8q(a, &au, &b.quads, &b.colsum, &mut acc, n);
-        epi(0, &acc, out.as_mut_slice());
+        let mut acc = vec![0i32; span];
+        gemm::run_gemv_i8q(a, &au, quads, colsum, &mut acc, span);
+        epi(0, &acc[skip..skip + n], out.as_mut_slice());
         return Ok(out);
     }
     par::row_bands(out.as_mut_slice(), m, n, threads, |first_row, band| {
         let rows = band.len() / n;
-        let mut acc = vec![0i32; rows * n];
-        gemm::run_band_i8q(a, &au, &b.quads, &b.colsum, first_row, &mut acc, n);
-        for (r, (acc_row, out_row)) in acc.chunks(n).zip(band.chunks_mut(n)).enumerate() {
-            epi(first_row + r, acc_row, out_row);
+        let mut acc = vec![0i32; rows * span];
+        gemm::run_band_i8q(a, &au, quads, colsum, first_row, &mut acc, span);
+        for (r, (acc_row, out_row)) in acc.chunks(span).zip(band.chunks_mut(n)).enumerate() {
+            epi(first_row + r, &acc_row[skip..skip + n], out_row);
         }
     });
     Ok(out)

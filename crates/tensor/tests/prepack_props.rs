@@ -67,6 +67,27 @@ fn check_prepacked_i8(m: usize, k: usize, n: usize, seed: u64) {
     }
 }
 
+/// The column-range fused GEMM (`cols = c0 .. c0 + width` of the
+/// resident pack, identity epilogue) against a per-call GEMM of the
+/// copied column slice, for the auto-threaded entry point and several
+/// explicit worker counts.
+fn check_prepacked_cols_i8(m: usize, k: usize, n: usize, c0: usize, width: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let a = init::uniform_i8(&mut rng, m, k);
+    let b = init::uniform_i8(&mut rng, k, n);
+    let packed = PackedI8::from_i8(&b);
+    let want = gemm::matmul_i8(&a, &b.submatrix(0, c0, k, width).unwrap()).unwrap();
+    let copy = |_r: usize, acc: &[i32], out: &mut [i32]| out.copy_from_slice(acc);
+    let cols = c0..c0 + width;
+    let got = prepack::matmul_i8_prepacked_fused_cols(&a, &packed, cols.clone(), copy).unwrap();
+    assert_eq!(got, want, "cols ({m},{k},{n}) {cols:?}");
+    for t in [1usize, 2, 3] {
+        let got =
+            prepack::matmul_i8_prepacked_cols_epilogue(&a, &packed, cols.clone(), t, copy).unwrap();
+        assert_eq!(got, want, "cols ({m},{k},{n}) {cols:?} t={t}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -85,6 +106,21 @@ proptest! {
         // The m = 1 decode shape takes the dedicated GEMV kernel.
         check_prepacked_i8(1, k, n, seed);
         check_prepacked_f32(1, k, n, seed);
+    }
+
+    #[test]
+    fn prepacked_cols_i8_bit_identical(
+        (m, k, n) in (1usize..20, 1usize..72, 1usize..80),
+        (c0, width) in (0usize..80, 0usize..80),
+        seed in 0u64..1000,
+    ) {
+        // Any non-empty range of `0 .. n`: `c0` lands on or off a
+        // 16-lane tile boundary and the range may end in the ragged
+        // last tile.
+        let c0 = c0 % n;
+        let width = 1 + width % (n - c0);
+        check_prepacked_cols_i8(m, k, n, c0, width, seed);
+        check_prepacked_cols_i8(1, k, n, c0, width, seed);
     }
 }
 
@@ -109,6 +145,36 @@ fn prepacked_pinned_boundary_shapes() {
         check_prepacked_i8(m, k, n, seed);
         check_prepacked_f32(m, k, n, seed);
     }
+}
+
+/// Column ranges at the partition shapes the ISA interpreter runs:
+/// aligned `64`-wide panels of the paper's `512 x 2048` FFN weight,
+/// `d_k = 8` head panels off the 16-lane tile grid, a ragged last panel
+/// of a 300-wide weight, an empty range, and ranges that leave `0 .. n`.
+#[test]
+fn prepacked_cols_partition_shapes() {
+    let cases = [
+        (8usize, 512usize, 2048usize, 0usize, 64usize),
+        (64, 512, 2048, 1984, 64),
+        (1, 512, 512, 448, 64),
+        (8, 32, 32, 8, 8),
+        (8, 32, 32, 24, 8),
+        (1, 30, 32, 8, 8),
+        (5, 100, 300, 256, 44),
+        (9, 300, 100, 64, 36),
+    ];
+    for (i, &(m, k, n, c0, width)) in cases.iter().enumerate() {
+        check_prepacked_cols_i8(m, k, n, c0, width, 300 + i as u64);
+    }
+    let packed = PackedI8::from_i8(&Mat::<i8>::zeros(8, 20));
+    let a = Mat::<i8>::zeros(3, 8);
+    let copy = |_r: usize, acc: &[i32], out: &mut [i32]| out.copy_from_slice(acc);
+    let empty = prepack::matmul_i8_prepacked_fused_cols(&a, &packed, 7..7, copy).unwrap();
+    assert_eq!(empty.shape(), (3, 0));
+    assert!(prepack::matmul_i8_prepacked_fused_cols(&a, &packed, 16..21, copy).is_err());
+    assert!(
+        prepack::matmul_i8_prepacked_fused_cols(&Mat::zeros(3, 7), &packed, 0..4, copy).is_err()
+    );
 }
 
 /// The same workloads, run with the pool pinned to 1, 2 and 7 workers
