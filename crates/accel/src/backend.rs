@@ -23,10 +23,10 @@
 //!
 //! Implementations:
 //!
-//! * [`PaperBackend`] — the SOCC'20 engine, byte-for-byte the
-//!   pre-refactor lowering/ISA/scheduler/area stack (golden ISA
-//!   programs and the MHA 20998 / FFN 35846 cycle pins are asserted
-//!   unchanged by `tests/isa_golden.rs`);
+//! * [`PaperBackend`] — the SOCC'20 engine: the graph lowering, the ISA
+//!   interpreter and replay, and the Table-II area model (golden ISA
+//!   programs and the MHA 20998 / FFN 35846 cycle pins are asserted by
+//!   `tests/isa_golden.rs`);
 //! * [`crate::tiled::TiledBackend`] — a KV260-style small tiled array
 //!   with explicit DDR tile traffic and a bandwidth-aware cycle model;
 //! * [`crate::circulant::CirculantBackend`] — FTRANS-style
@@ -130,7 +130,7 @@ pub trait Backend {
 
     /// Cycle count of a lowered program on this backend's units
     /// (`s_kv` = sequence length of the workload, as in
-    /// [`crate::isa::schedule_program`]).
+    /// [`crate::isa::replay`]).
     ///
     /// # Panics
     ///
@@ -163,7 +163,7 @@ pub trait Backend {
 /// existing lowering ([`crate::exec::lower_mha`] /
 /// [`crate::exec::lower_ffn`]), the bit-exact ISA interpreter
 /// ([`crate::isa::execute_mha`] / [`crate::isa::execute_ffn`]), the
-/// timing interpreter ([`crate::isa::schedule_program`]) and the
+/// timing replay of the same program ([`crate::isa::replay`]) and the
 /// Table-II area model. Every call delegates to the exact functions the
 /// golden tests pin, so wrapping the paper engine in the trait cannot
 /// move a single cycle or bit.

@@ -1,25 +1,28 @@
-//! Array-level execution engine: Algorithm 1 executed *literally* on
-//! the register-true systolic array.
+//! Array-level execution engine: the register-true systolic array as
+//! the ISA interpreter's PE model.
 //!
-//! Where [`crate::top::Accelerator`] delegates numerics to the
-//! `quantized` crate wholesale, this engine drives the hardware the way
-//! the RTL does — GEMM pass by GEMM pass, one 64-column weight panel at
-//! a time (Fig. 4), each pass clocked through the
-//! [`crate::systolic::SystolicArray`] PE grid, with bias/requantization
-//! on the drain path, the softmax module between the score and context
-//! passes, and the LayerNorm module at the end. Its outputs are
-//! bit-identical to [`quantized::QuantMhaResBlock::forward`] /
+//! [`ArrayEngine`] is the [`Datapath`] that drives the hardware the way
+//! the RTL does: [`isa::execute_mha_with`] / [`isa::execute_ffn_with`]
+//! walk the Algorithm-1 program, and every GEMM command becomes passes
+//! of one 64-column weight panel (Fig. 4) or one padded score tile
+//! through the [`crate::systolic::SystolicArray`] PE grid, with
+//! bias/requantization on the drain path. The engine adds pass
+//! bookkeeping ([`EngineStats`]), fault injection and ABFT/golden
+//! checking. Its outputs are bit-identical to
+//! [`quantized::QuantMhaResBlock::forward`] /
 //! [`quantized::QuantFfnResBlock::forward`] (asserted by tests), which
 //! closes the loop: *the paper's dataflow, executed on the paper's
 //! array, computes the paper's datapath.*
 
+use std::ops::Range;
+
 use faults::{abft, FaultPlan, Injector};
 use hwsim::cycles::Cycle;
-use quantized::softmax::scaled_masked_softmax;
 use quantized::{QLinear, QuantFfnResBlock, QuantMhaResBlock};
 use tensor::Mat;
 
-use crate::partition::{qk_plan, PANEL_COLS};
+use crate::isa::{self, Datapath};
+use crate::partition::PANEL_COLS;
 use crate::systolic::SystolicArray;
 
 /// How the engine models each GEMM pass through the array.
@@ -227,29 +230,12 @@ impl ArrayEngine {
         self.fidelity
     }
 
-    /// One GEMM pass through the PE grid, with bookkeeping. The fault
-    /// hooks are zero-cost when off: a fault-free engine takes the
-    /// first branch, which is byte-for-byte the pre-instrumentation
-    /// path.
+    /// One GEMM pass through the PE grid, with bookkeeping. With a
+    /// checker on, ABFT checksums latch from the pristine operands and
+    /// are verified at drain; with a fault plan, the resident weight tile
+    /// and the drained accumulators are corrupted in between. Both hooks
+    /// are inert when off.
     fn pass(&mut self, a: &Mat<i8>, b: &Mat<i8>) -> Mat<i32> {
-        if self.injector.is_none() && self.check == CheckMode::Off {
-            let sim = match self.fidelity {
-                Fidelity::RegisterTrue => self.sa.simulate(a, b),
-                Fidelity::Analytic => self.sa.simulate_analytic(a, b),
-            };
-            self.stats.gemm_passes += 1;
-            self.stats.macs += (a.rows() * a.cols() * b.cols()) as u64;
-            self.stats.isolated_cycles += sim.total;
-            self.stats.pe_cycles += sim.total.get() * self.sa.pe_count() as u64;
-            return sim.out;
-        }
-        self.checked_pass(a, b)
-    }
-
-    /// The instrumented pass: latch ABFT checksums from the pristine
-    /// operands, corrupt the resident weight tile and drained
-    /// accumulators per the fault plan, verify at drain.
-    fn checked_pass(&mut self, a: &Mat<i8>, b: &Mat<i8>) -> Mat<i32> {
         // Checksums latch at tile *load*, before any fault can strike.
         let sums = (self.check != CheckMode::Off).then(|| abft::tile_checksums(a, b));
         let pass_idx = self.injector.as_mut().map(Injector::begin_pass);
@@ -297,67 +283,52 @@ impl ArrayEngine {
         self.stats.pe_cycles += sim.total.get() * self.sa.pe_count() as u64;
         out
     }
+}
 
-    /// A full linear sublayer: every 64-column weight panel streamed
-    /// through the array, bias added and requantized on the drain path.
-    fn linear(&mut self, lin: &QLinear, x: &Mat<i8>) -> Mat<i8> {
-        let panels = lin.weight_q().col_panels(PANEL_COLS);
-        let mut outs = Vec::with_capacity(panels.len());
-        let mut c0 = 0usize;
-        for panel in &panels {
-            let acc = self.pass(x, panel);
-            let bias = &lin.bias_q()[c0..c0 + panel.cols()];
-            outs.push(Mat::from_fn(acc.rows(), acc.cols(), |r, c| {
+impl Datapath for ArrayEngine {
+    /// The command's columns one 64-column weight panel at a time (Fig.
+    /// 4), each a pass through the array, bias added and requantized on
+    /// the drain path.
+    fn linear(&mut self, lin: &QLinear, x: &Mat<i8>, cols: Range<usize>) -> Mat<i8> {
+        let w = lin.weight_q();
+        let mut outs = Vec::with_capacity(cols.len().div_ceil(PANEL_COLS));
+        for c0 in cols.clone().step_by(PANEL_COLS) {
+            let n = PANEL_COLS.min(cols.end - c0);
+            let panel = w.submatrix(0, c0, w.rows(), n).expect("panel in range");
+            let acc = self.pass(x, &panel);
+            let bias = &lin.bias_q()[c0..c0 + n];
+            outs.push(Mat::from_fn(acc.rows(), n, |r, c| {
                 lin.requantize_col(c0 + c, acc[(r, c)] + bias[c])
             }));
-            c0 += panel.cols();
         }
         Mat::hconcat(&outs).expect("panels share rows")
     }
 
-    /// Like [`ArrayEngine::linear`] but the raw accumulators (+bias) are
-    /// returned for a caller-owned drain transform (ReLU, residual...).
-    fn linear_acc(&mut self, lin: &QLinear, x: &Mat<i8>) -> Mat<i32> {
-        let panels = lin.weight_q().col_panels(PANEL_COLS);
-        let mut outs = Vec::with_capacity(panels.len());
-        let mut c0 = 0usize;
-        for panel in &panels {
-            let acc = self.pass(x, panel);
-            let bias = &lin.bias_q()[c0..c0 + panel.cols()];
-            outs.push(Mat::from_fn(acc.rows(), acc.cols(), |r, c| {
-                acc[(r, c)] + bias[c]
-            }));
-            c0 += panel.cols();
-        }
-        Mat::hconcat(&outs).expect("panels share rows")
+    fn score_tile(&mut self, q: &Mat<i8>, k_tile: &Mat<i8>) -> Mat<i32> {
+        self.pass(q, &k_tile.transposed())
     }
 
-    /// `Q_i K_i^T` through the array, following the Section-III
-    /// padding/tiling plan.
-    fn qk(&mut self, qi: &Mat<i8>, ki: &Mat<i8>) -> Mat<i32> {
-        let s = ki.rows();
-        let plan = qk_plan(s);
-        let k_padded = if plan.padded_k_rows > s {
-            ki.padded(plan.padded_k_rows, ki.cols())
-        } else {
-            ki.clone()
-        };
-        let mut tiles = Vec::with_capacity(plan.tiles);
-        for t in 0..plan.tiles {
-            let r0 = t * PANEL_COLS;
-            let rows = PANEL_COLS.min(k_padded.rows() - r0);
-            let k_tile = k_padded
-                .submatrix(r0, 0, rows, k_padded.cols())
-                .expect("tile in range");
-            tiles.push(self.pass(qi, &k_tile.transposed()));
-        }
-        Mat::hconcat(&tiles)
-            .expect("tiles share rows")
-            .submatrix(0, 0, qi.rows(), s)
-            .expect("crop padding")
+    fn context(&mut self, probs: &Mat<i8>, v: &Mat<i8>) -> Mat<i32> {
+        self.pass(probs, v)
     }
 
-    /// Executes the MHA ResBlock (Algorithm 1 lines 1–13) on the array.
+    fn softmax_out(&mut self, probs: &mut Mat<i8>) {
+        if let Some(inj) = self.injector.as_mut() {
+            self.stats.faults_injected += inj.corrupt_softmax(probs);
+        }
+    }
+
+    fn layernorm_in(&mut self, g: &mut Mat<i32>) {
+        if let Some(inj) = self.injector.as_mut() {
+            self.stats.faults_injected += inj.corrupt_layernorm(g);
+        }
+    }
+}
+
+impl ArrayEngine {
+    /// Executes the MHA ResBlock (Algorithm 1 lines 1–13) on the array:
+    /// [`isa::mha_program`] through the ISA interpreter, every GEMM
+    /// command a pass through the PE grid.
     ///
     /// # Panics
     ///
@@ -370,39 +341,8 @@ impl ArrayEngine {
         mask: Option<&Mat<bool>>,
     ) -> EngineRun {
         self.stats = EngineStats::default();
-        let (wq, wk, wv, wo) = block.projections();
-        let d_k = block.d_k();
-        // Lines 3-4 + line 6: the three projections (panel per head).
-        let q = self.linear(wq, xq);
-        let k = self.linear(wk, xkv);
-        let v = self.linear(wv, xkv);
-        // Lines 5-7, per head: scores -> softmax module -> context.
-        let mut p_panels = Vec::with_capacity(block.heads());
-        for i in 0..block.heads() {
-            let c0 = i * d_k;
-            let qi = q.submatrix(0, c0, q.rows(), d_k).expect("panel");
-            let ki = k.submatrix(0, c0, k.rows(), d_k).expect("panel");
-            let vi = v.submatrix(0, c0, v.rows(), d_k).expect("panel");
-            let d = self.qk(&qi, &ki);
-            let mut probs =
-                scaled_masked_softmax(&d, block.d_scale(), d_k, mask, block.softmax_mode());
-            if let Some(inj) = self.injector.as_mut() {
-                self.stats.faults_injected += inj.corrupt_softmax(&mut probs);
-            }
-            let p_acc = self.pass(&probs, &vi);
-            p_panels.push(p_acc.map(|&a| block.requantize_p(a)));
-        }
-        let p = Mat::hconcat(&p_panels).expect("heads share rows");
-        // Lines 9-11: G = P·W_G + bias (+ residual), panel per head.
-        let g_codes = self.linear(wo, &p);
-        let mut g = Mat::from_fn(g_codes.rows(), g_codes.cols(), |r, c| {
-            g_codes[(r, c)] as i32 + xq[(r, c)] as i32
-        });
-        if let Some(inj) = self.injector.as_mut() {
-            self.stats.faults_injected += inj.corrupt_layernorm(&mut g);
-        }
-        // Line 12: the LayerNorm module.
-        let out = block.layernorm().forward(&g);
+        let program = isa::mha_program(block.heads(), xkv.rows());
+        let out = isa::execute_mha_with(self, &program, block, xq, xkv, mask);
         // The golden cross-check re-runs the reference datapath on the
         // same inputs — the only checker that sees softmax/LayerNorm
         // datapath faults, which carry no checksum.
@@ -426,21 +366,8 @@ impl ArrayEngine {
     pub fn execute_ffn(&mut self, block: &QuantFfnResBlock, x: &Mat<i8>) -> EngineRun {
         self.stats = EngineStats::default();
         let (w1, w2) = block.sublayers();
-        // Lines 15-17: P_i = ReLU(X W_1i + b_1i), ReLU fused on drain.
-        let hidden_acc = self.linear_acc(w1, x);
-        let hidden = Mat::from_fn(hidden_acc.rows(), hidden_acc.cols(), |r, c| {
-            w1.requantize_col(c, hidden_acc[(r, c)]).max(0)
-        });
-        // Lines 18-20: G_i = P W_2i + b_2i + X_i.
-        let g_codes = self.linear(w2, &hidden);
-        let mut g = Mat::from_fn(g_codes.rows(), g_codes.cols(), |r, c| {
-            g_codes[(r, c)] as i32 + x[(r, c)] as i32
-        });
-        if let Some(inj) = self.injector.as_mut() {
-            self.stats.faults_injected += inj.corrupt_layernorm(&mut g);
-        }
-        // Line 21.
-        let out = block.layernorm().forward(&g);
+        let program = isa::ffn_program(w2.weight_q().cols(), w1.weight_q().cols());
+        let out = isa::execute_ffn_with(self, &program, block, x);
         if self.check == CheckMode::AbftGolden {
             let (want, _) = block.forward(x);
             if want != out {
@@ -516,13 +443,13 @@ mod tests {
 
     #[test]
     fn mha_pass_count_matches_algorithm1() {
-        // tiny config: h = 4 heads, d_model = 32 -> each projection has
-        // ceil(32/64) = 1 panel; per head: QK^T 1 tile + PV 1; W_G 1
-        // panel. passes = 3 proj + h*(1+1) + 1 = 12.
+        // tiny config: h = 4 heads, d_k = 8. Every command is one pass:
+        // per head the Q/K/V projection panels, 1 score tile, the
+        // context and one W_G output panel. passes = 3h + h + h + h = 24.
         let (qmha, _, codes) = setup(8);
         let mut engine = ArrayEngine::new(8);
         let run = engine.execute_mha(&qmha, &codes[0], &codes[0], None);
-        assert_eq!(run.stats.gemm_passes, 3 + 4 * 2 + 1);
+        assert_eq!(run.stats.gemm_passes, 3 * 4 + 4 + 4 + 4);
         assert!(run.stats.macs > 0);
         assert!(run.stats.isolated_cycles.get() > 0);
     }

@@ -4,17 +4,18 @@
 //!
 //! [`lower_mha`] / [`lower_ffn`] walk a [`Graph`] in plan order and emit
 //! [`Command`]s; [`crate::isa::mha_program`] and
-//! [`crate::isa::ffn_program`] are now thin wrappers over this lowering,
-//! so the static schedule the timing model runs is *derived from the
-//! same dataflow description* every software backend executes. Nodes the
+//! [`crate::isa::ffn_program`] are thin wrappers over this lowering, so
+//! the one Algorithm-1 program — which the interpreter, the PE-grid
+//! engine and the timing replay all read — is *derived from the same
+//! dataflow description* every software backend executes. Nodes the
 //! hardware fuses into a neighbouring unit (ReLU into the bias adders,
 //! the residual add into the output drain) lower to no command at all —
 //! the convention documented on [`Op`].
 //!
 //! [`AccelExec`] closes the loop: `run` lowers the graph, drives the
 //! bit-exact ISA interpreter ([`crate::isa::execute_mha`] /
-//! [`crate::isa::execute_ffn`]), and accumulates the timing
-//! interpretation of the very same program into its [`ExecStats`].
+//! [`crate::isa::execute_ffn`]), and accumulates the cycle count of the
+//! very same program's replay into its [`ExecStats`].
 
 use faults::{FaultKind, FaultPlan, Injector};
 use graph::{Env, ExecStats, Executor, Graph, GraphKind, Node, Op, WeightId};
@@ -262,7 +263,10 @@ impl Executor for AccelExec<'_> {
                 let xv = env.take("x_v");
                 // The hardware streams one KV operand; self-attention
                 // feeds the same codes to both projections.
-                debug_assert_eq!(xk, xv, "accelerator streams a single KV input");
+                assert_eq!(
+                    xk, xv,
+                    "the accelerator streams a single KV input: x_k and x_v must be equal"
+                );
                 let s_kv = xk.rows();
                 let h = block.heads();
                 let prog = self.harden_program(
@@ -326,69 +330,6 @@ mod tests {
         let qffn = QuantFfnResBlock::from_f32(&ffn, &calib);
         let xq = qmha.quantize_input_q(&calib[0]);
         (qmha, qffn, xq)
-    }
-
-    /// The pre-refactor hand-written Algorithm-1 loops — frozen here as
-    /// the golden reference the lowering must reproduce exactly.
-    fn handwritten_mha(h: usize, s_kv: usize) -> Vec<Command> {
-        let mut prog = Vec::new();
-        let tiles = qk_plan(s_kv).tiles;
-        for head in 0..h {
-            prog.push(Command::ProjectQ { head });
-            prog.push(Command::ProjectK { head });
-            for tile in 0..tiles {
-                prog.push(Command::ScoreTile { head, tile });
-            }
-            prog.push(Command::Softmax { head });
-            prog.push(Command::ProjectV { head });
-            prog.push(Command::Context { head });
-        }
-        for panel in 0..h {
-            prog.push(Command::OutputPanel { panel });
-        }
-        prog.push(Command::LayerNorm);
-        prog
-    }
-
-    fn handwritten_ffn(d_model: usize, d_ff: usize) -> Vec<Command> {
-        let mut prog = Vec::new();
-        for panel in 0..d_ff.div_ceil(PANEL_COLS) {
-            prog.push(Command::FfnHidden { panel });
-        }
-        for panel in 0..d_model.div_ceil(PANEL_COLS) {
-            prog.push(Command::FfnOutput { panel });
-        }
-        prog.push(Command::LayerNorm);
-        prog
-    }
-
-    #[test]
-    fn lowered_mha_program_matches_handwritten() {
-        for (h, s_kv) in [(8, 64), (2, 8), (4, 128)] {
-            let g = mha_graph(&GraphConfig {
-                d_model: h * PANEL_COLS,
-                d_ff: 0,
-                h,
-            });
-            assert_eq!(lower_mha(&g, s_kv), handwritten_mha(h, s_kv));
-            assert_eq!(crate::isa::mha_program(h, s_kv), handwritten_mha(h, s_kv));
-        }
-    }
-
-    #[test]
-    fn lowered_ffn_program_matches_handwritten() {
-        for (d_model, d_ff) in [(512, 2048), (64, 256), (100, 300)] {
-            let g = ffn_graph(&GraphConfig {
-                d_model,
-                d_ff,
-                h: 1,
-            });
-            assert_eq!(lower_ffn(&g), handwritten_ffn(d_model, d_ff));
-            assert_eq!(
-                crate::isa::ffn_program(d_model, d_ff),
-                handwritten_ffn(d_model, d_ff)
-            );
-        }
     }
 
     #[test]
@@ -527,6 +468,26 @@ mod tests {
         assert_eq!(got, want);
         assert_eq!(exec.injected_faults(), 0);
         assert_eq!(exec.stats().faults_detected, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "x_k and x_v must be equal")]
+    fn distinct_key_and_value_inputs_are_rejected() {
+        let cfg = ModelConfig::tiny_for_tests();
+        let (qmha, _, xq) = blocks(&cfg, 8);
+        let acfg = AccelConfig::paper_default();
+        let g = mha_graph(&GraphConfig {
+            d_model: cfg.d_model,
+            d_ff: cfg.d_ff,
+            h: cfg.h,
+        });
+        let xv = xq.map(|&c| c.wrapping_add(1));
+        let mut exec = AccelExec::new(AccelBlock::Mha(&qmha), &acfg);
+        let _ = exec.run(
+            &g,
+            vec![("x_q", xq.clone()), ("x_k", xq), ("x_v", xv)],
+            None,
+        );
     }
 
     #[test]

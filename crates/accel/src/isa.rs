@@ -1,24 +1,28 @@
 //! The accelerator's command stream: Algorithm 1 as an explicit
-//! instruction sequence, with two interpreters.
+//! instruction sequence, and the one encoding of it in this crate.
 //!
 //! A real implementation of the paper's design has a small control unit
 //! stepping through a static schedule; this module makes that program
-//! first-class:
+//! first-class, and everything else reads it:
 //!
 //! * [`mha_program`] / [`ffn_program`] — the instruction list for one
-//!   ResBlock;
-//! * [`execute_mha`] / [`execute_ffn`] — a **bit-exact interpreter**
-//!   driving the quantized datapath command by command (outputs equal
-//!   [`quantized::QuantMhaResBlock::forward`] exactly). As in the
-//!   paper's partition, every projection, `W_G`, `W_1` and `W_2`
-//!   command streams its `s`-row activations against one weight panel
-//!   that stays resident: [`quantized::QLinear::forward_cols`] reads
-//!   the panel's columns straight out of the layer's prepacked weights
-//!   and fuses bias and requantization into the drain, so no command
-//!   copies or repacks a weight;
-//! * [`schedule_program`] — a **timing interpreter** mapping the same
-//!   commands onto the unit timeline (cycle counts equal
-//!   [`crate::scheduler`]'s, asserted by tests).
+//!   ResBlock, lowered from the operator graph by [`crate::exec`];
+//! * [`execute_mha_with`] / [`execute_ffn_with`] — the **numerics**: a
+//!   bit-exact interpreter that hands every GEMM command to a
+//!   [`Datapath`]. [`execute_mha`] / [`execute_ffn`] use
+//!   [`ResidentPanels`], the fast path: as in the paper's partition,
+//!   every projection, `W_G`, `W_1` and `W_2` command streams its
+//!   `s`-row activations against one weight panel that stays resident —
+//!   [`quantized::QLinear::forward_cols`] reads the panel's columns
+//!   straight out of the layer's prepacked weights and fuses bias and
+//!   requantization into the drain, so no command copies a weight.
+//!   [`crate::engine::ArrayEngine`] is the other [`Datapath`]: it clocks
+//!   each pass through the PE grid. Both equal
+//!   [`quantized::QuantMhaResBlock::forward`] /
+//!   [`quantized::QuantFfnResBlock::forward`] exactly;
+//! * [`replay`] — the **timing**: the same commands on the unit
+//!   timeline, giving the makespan, SA occupancy and a labelled Gantt
+//!   trace. [`crate::scheduler`]'s `schedule_*` functions wrap it.
 //!
 //! One program, two semantics — the strongest form of the workspace's
 //! "numerics and timing never diverge" rule.
@@ -26,14 +30,15 @@
 use hwsim::cycles::Cycle;
 use hwsim::timeline::{EventId, Timeline};
 use quantized::softmax::scaled_masked_softmax;
-use quantized::{QuantFfnResBlock, QuantMhaResBlock};
+use quantized::{QLinear, QuantFfnResBlock, QuantMhaResBlock};
 use serde::Serialize;
 use std::ops::Range;
 use tensor::{gemm, Mat};
 
 use crate::config::AccelConfig;
 use crate::layernorm_module;
-use crate::partition::{qk_plan, PANEL_COLS};
+use crate::partition::{qk_plan, qk_tile, PANEL_COLS};
+use crate::scheduler::ScheduleReport;
 use crate::softmax_module;
 
 /// One command of the static schedule.
@@ -326,7 +331,51 @@ fn residual_into(g: &mut Mat<i32>, cols: Range<usize>, panel: &Mat<i8>, x: &Mat<
     }
 }
 
-/// Bit-exact execution of [`mha_program`] against a quantized block.
+/// What computes a program's GEMM commands: the seam between the one
+/// Algorithm-1 interpreter and a model of the processing elements.
+/// Softmax, residual adds and LayerNorm run in the interpreter; the two
+/// hooks let a datapath corrupt their operands (fault injection).
+pub trait Datapath {
+    /// A weight-panel command: columns `cols` of `x · W + bias`,
+    /// requantized on the drain.
+    fn linear(&mut self, lin: &QLinear, x: &Mat<i8>, cols: Range<usize>) -> Mat<i8>;
+
+    /// One score tile: `q · k_tileᵀ` for a [`qk_tile`], raw accumulators
+    /// (padding columns included).
+    fn score_tile(&mut self, q: &Mat<i8>, k_tile: &Mat<i8>) -> Mat<i32>;
+
+    /// The context GEMM `probs · v`, raw accumulators.
+    fn context(&mut self, probs: &Mat<i8>, v: &Mat<i8>) -> Mat<i32>;
+
+    /// Sees each head's softmax output before the context GEMM.
+    fn softmax_out(&mut self, _probs: &mut Mat<i8>) {}
+
+    /// Sees the LayerNorm module's input (`G` plus the residual).
+    fn layernorm_in(&mut self, _g: &mut Mat<i32>) {}
+}
+
+/// The fast [`Datapath`]: every weight command reads its columns from the
+/// layer's resident prepacked panels ([`QLinear::forward_cols`]); no
+/// bookkeeping.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ResidentPanels;
+
+impl Datapath for ResidentPanels {
+    fn linear(&mut self, lin: &QLinear, x: &Mat<i8>, cols: Range<usize>) -> Mat<i8> {
+        lin.forward_cols(x, cols)
+    }
+
+    fn score_tile(&mut self, q: &Mat<i8>, k_tile: &Mat<i8>) -> Mat<i32> {
+        gemm::matmul_i8_nt(q, k_tile).expect("shapes")
+    }
+
+    fn context(&mut self, probs: &Mat<i8>, v: &Mat<i8>) -> Mat<i32> {
+        gemm::matmul_i8(probs, v).expect("shapes")
+    }
+}
+
+/// Bit-exact execution of [`mha_program`] against a quantized block on
+/// the [`ResidentPanels`] datapath.
 ///
 /// # Panics
 ///
@@ -338,58 +387,62 @@ pub fn execute_mha(
     xkv: &Mat<i8>,
     mask: Option<&Mat<bool>>,
 ) -> Mat<i8> {
+    execute_mha_with(&mut ResidentPanels, program, block, xq, xkv, mask)
+}
+
+/// Executes [`mha_program`] against a quantized block, every GEMM
+/// command on `dp`.
+///
+/// # Panics
+///
+/// Panics on malformed programs (commands out of Algorithm-1 order).
+pub fn execute_mha_with(
+    dp: &mut impl Datapath,
+    program: &[Command],
+    block: &QuantMhaResBlock,
+    xq: &Mat<i8>,
+    xkv: &Mat<i8>,
+    mask: Option<&Mat<bool>>,
+) -> Mat<i8> {
     let d_k = block.d_k();
     let h = block.heads();
+    let s_kv = xkv.rows();
     let (wq, wk, wv, wo) = block.projections();
+    let head_cols = |head: usize| head * d_k..(head + 1) * d_k;
     let mut q: Vec<Option<Mat<i8>>> = vec![None; h];
     let mut k: Vec<Option<Mat<i8>>> = vec![None; h];
     let mut v: Vec<Option<Mat<i8>>> = vec![None; h];
-    let mut scores: Vec<Option<Mat<i32>>> = vec![None; h];
+    let mut scores: Vec<Vec<Mat<i32>>> = vec![Vec::new(); h];
     let mut probs: Vec<Option<Mat<i8>>> = vec![None; h];
     let mut p_panels: Vec<Option<Mat<i8>>> = vec![None; h];
     let mut p_cat: Option<Mat<i8>> = None;
     let mut g: Mat<i32> = Mat::zeros(xq.rows(), wq.weight_q().cols());
     let mut ln_out: Option<Mat<i8>> = None;
-    let score_tiles = qk_plan(xkv.rows()).tiles;
 
     for cmd in program {
         match *cmd {
-            Command::ProjectQ { head } => {
-                q[head] = Some(wq.forward_cols(xq, head * d_k..(head + 1) * d_k));
-            }
-            Command::ProjectK { head } => {
-                k[head] = Some(wk.forward_cols(xkv, head * d_k..(head + 1) * d_k));
-            }
-            Command::ProjectV { head } => {
-                v[head] = Some(wv.forward_cols(xkv, head * d_k..(head + 1) * d_k));
-            }
+            Command::ProjectQ { head } => q[head] = Some(dp.linear(wq, xq, head_cols(head))),
+            Command::ProjectK { head } => k[head] = Some(dp.linear(wk, xkv, head_cols(head))),
+            Command::ProjectV { head } => v[head] = Some(dp.linear(wv, xkv, head_cols(head))),
             Command::ScoreTile { head, tile } => {
-                // tiles are produced in order; compute the whole score
-                // matrix on the first tile (the engine-level tiling is
-                // exercised in crate::engine; here we keep the
-                // command-stream semantics minimal).
-                if tile == 0 {
-                    let qi = q[head].as_ref().expect("ProjectQ before ScoreTile");
-                    let ki = k[head].as_ref().expect("ProjectK before ScoreTile");
-                    scores[head] = Some(crate::partition::qk_matmul_i8(qi, ki).expect("shapes"));
-                } else {
-                    assert!(tile < score_tiles, "tile out of plan");
-                }
+                let qi = q[head].as_ref().expect("ProjectQ before ScoreTile");
+                let ki = k[head].as_ref().expect("ProjectK before ScoreTile");
+                scores[head].push(dp.score_tile(qi, &qk_tile(ki, tile)));
             }
             Command::Softmax { head } => {
-                let d = scores[head].as_ref().expect("ScoreTile before Softmax");
-                probs[head] = Some(scaled_masked_softmax(
-                    d,
-                    block.d_scale(),
-                    d_k,
-                    mask,
-                    block.softmax_mode(),
-                ));
+                let tiles = Mat::hconcat(&std::mem::take(&mut scores[head]))
+                    .expect("ScoreTile before Softmax");
+                // Columns past s_kv are products with zero-padded keys.
+                let d = tiles.submatrix(0, 0, tiles.rows(), s_kv).expect("crop");
+                let mut pr =
+                    scaled_masked_softmax(&d, block.d_scale(), d_k, mask, block.softmax_mode());
+                dp.softmax_out(&mut pr);
+                probs[head] = Some(pr);
             }
             Command::Context { head } => {
                 let pr = probs[head].as_ref().expect("Softmax before Context");
                 let vi = v[head].as_ref().expect("ProjectV before Context");
-                let acc = gemm::matmul_i8(pr, vi).expect("shapes");
+                let acc = dp.context(pr, vi);
                 p_panels[head] = Some(acc.map(|&a| block.requantize_p(a)));
             }
             Command::OutputPanel { panel } => {
@@ -402,11 +455,12 @@ pub fn execute_mha(
                         .collect();
                     Mat::hconcat(&heads).expect("heads share rows")
                 });
-                let cols = panel * d_k..(panel + 1) * d_k;
-                let g_cols = wo.forward_cols(p, cols.clone());
+                let cols = head_cols(panel);
+                let g_cols = dp.linear(wo, p, cols.clone());
                 residual_into(&mut g, cols, &g_cols, xq);
             }
             Command::LayerNorm => {
+                dp.layernorm_in(&mut g);
                 ln_out = Some(block.layernorm().forward(&g));
             }
             other => panic!("command {other:?} is not part of an MHA program"),
@@ -415,12 +469,28 @@ pub fn execute_mha(
     ln_out.expect("program must end with LayerNorm")
 }
 
-/// Bit-exact execution of [`ffn_program`] against a quantized block.
+/// Bit-exact execution of [`ffn_program`] against a quantized block on
+/// the [`ResidentPanels`] datapath.
 ///
 /// # Panics
 ///
 /// Panics on malformed programs.
 pub fn execute_ffn(program: &[Command], block: &QuantFfnResBlock, x: &Mat<i8>) -> Mat<i8> {
+    execute_ffn_with(&mut ResidentPanels, program, block, x)
+}
+
+/// Executes [`ffn_program`] against a quantized block, every GEMM command
+/// on `dp`.
+///
+/// # Panics
+///
+/// Panics on malformed programs.
+pub fn execute_ffn_with(
+    dp: &mut impl Datapath,
+    program: &[Command],
+    block: &QuantFfnResBlock,
+    x: &Mat<i8>,
+) -> Mat<i8> {
     let (w1, w2) = block.sublayers();
     let d_ff = w1.weight_q().cols();
     let d_model = w2.weight_q().cols();
@@ -431,7 +501,7 @@ pub fn execute_ffn(program: &[Command], block: &QuantFfnResBlock, x: &Mat<i8>) -
         match *cmd {
             Command::FfnHidden { panel } => {
                 let cols = panel_cols(panel, d_ff);
-                let h_cols = w1.forward_cols(x, cols.clone());
+                let h_cols = dp.linear(w1, x, cols.clone());
                 for r in 0..hidden.rows() {
                     let dst = &mut hidden.row_mut(r)[cols.clone()];
                     for (d, &v) in dst.iter_mut().zip(h_cols.row(r)) {
@@ -441,10 +511,11 @@ pub fn execute_ffn(program: &[Command], block: &QuantFfnResBlock, x: &Mat<i8>) -
             }
             Command::FfnOutput { panel } => {
                 let cols = panel_cols(panel, d_model);
-                let g_cols = w2.forward_cols(&hidden, cols.clone());
+                let g_cols = dp.linear(w2, &hidden, cols.clone());
                 residual_into(&mut g, cols, &g_cols, x);
             }
             Command::LayerNorm => {
+                dp.layernorm_in(&mut g);
                 ln_out = Some(block.layernorm().forward(&g));
             }
             other => panic!("command {other:?} is not part of an FFN program"),
@@ -453,11 +524,22 @@ pub fn execute_ffn(program: &[Command], block: &QuantFfnResBlock, x: &Mat<i8>) -
     ln_out.expect("program must end with LayerNorm")
 }
 
-/// Timing interpretation of a program: maps every command onto the unit
-/// timeline under the configuration's scheduling policy. For the
-/// Algorithm-1 programs this reproduces [`crate::scheduler`]'s cycle
-/// counts exactly (asserted by tests).
-pub fn schedule_program(cfg: &AccelConfig, program: &[Command], s_kv: usize) -> Cycle {
+/// Replays a program on the unit timeline under the configuration's
+/// scheduling policy, at key/value length `s_kv`.
+///
+/// Every GEMM command is a `k`-cycle stream through the `s × 64` array
+/// followed by a 64-cycle column-serial drain; the policy decides
+/// whether the drain blocks the array
+/// ([`crate::config::SchedPolicy::overlap_drain`]) and whether the
+/// softmax hides behind the `V·W_Vi` projection
+/// ([`crate::config::SchedPolicy::overlap_softmax`], Algorithm 1 line
+/// 6). Events carry the Algorithm-1 labels (`h{i}:QWq`, `h{i}:QK^T.{t}`,
+/// `h{i}:softmax`, `G{i}`, `P{i}`, `layernorm`, ...).
+///
+/// # Panics
+///
+/// Panics on commands out of Algorithm-1 order.
+pub fn replay(cfg: &AccelConfig, program: &[Command], s_kv: usize) -> ScheduleReport {
     let d_model = cfg.model.d_model;
     let d_ff = cfg.model.d_ff;
     let d_k = cfg.model.d_k();
@@ -468,13 +550,15 @@ pub fn schedule_program(cfg: &AccelConfig, program: &[Command], s_kv: usize) -> 
     let sm_u = tl.add_unit("softmax");
     let ln_u = tl.add_unit("layernorm");
 
+    // Returns the event whose end marks the *drained* result (what
+    // downstream consumers wait for).
     let drain_cycles = Cycle(PANEL_COLS as u64);
-    let gemm = |tl: &mut Timeline, k: usize, deps: &[EventId]| -> EventId {
+    let gemm = |tl: &mut Timeline, label: String, k: usize, deps: &[EventId]| -> EventId {
         if pol.overlap_drain {
-            let stream = tl.schedule(sa, "stream", Cycle(k as u64), deps);
-            tl.schedule(drain_u, "drain", drain_cycles, &[stream])
+            let stream = tl.schedule(sa, format!("{label}:stream"), Cycle(k as u64), deps);
+            tl.schedule(drain_u, format!("{label}:drain"), drain_cycles, &[stream])
         } else {
-            tl.schedule(sa, "gemm", Cycle(k as u64) + drain_cycles, deps)
+            tl.schedule(sa, label, Cycle(k as u64) + drain_cycles, deps)
         }
     };
 
@@ -484,21 +568,27 @@ pub fn schedule_program(cfg: &AccelConfig, program: &[Command], s_kv: usize) -> 
     let mut last_score: Vec<Option<EventId>> = vec![None; h];
     let mut softmax_ev: Vec<Option<EventId>> = vec![None; h];
     let mut proj_v: Vec<Option<EventId>> = vec![None; h];
-    let mut contexts: Vec<EventId> = Vec::new();
+    // Context (MHA) or hidden (FFN) panels: every output panel needs all.
+    let mut panels: Vec<EventId> = Vec::new();
     let mut last_out: Option<EventId> = None;
 
     for cmd in program {
         match *cmd {
-            Command::ProjectQ { head } => proj_q[head] = Some(gemm(&mut tl, d_model, &[])),
-            Command::ProjectK { head } => proj_k[head] = Some(gemm(&mut tl, d_model, &[])),
-            Command::ScoreTile { head, .. } => {
+            Command::ProjectQ { head } => {
+                proj_q[head] = Some(gemm(&mut tl, format!("h{head}:QWq"), d_model, &[]));
+            }
+            Command::ProjectK { head } => {
+                proj_k[head] = Some(gemm(&mut tl, format!("h{head}:KWk"), d_model, &[]));
+            }
+            Command::ScoreTile { head, tile } => {
                 let deps = [proj_q[head].expect("order"), proj_k[head].expect("order")];
-                last_score[head] = Some(gemm(&mut tl, d_k, &deps));
+                let label = format!("h{head}:QK^T.{tile}");
+                last_score[head] = Some(gemm(&mut tl, label, d_k, &deps));
             }
             Command::Softmax { head } => {
                 softmax_ev[head] = Some(tl.schedule(
                     sm_u,
-                    "softmax",
+                    format!("h{head}:softmax"),
                     softmax_module::latency_after_last_input(s_kv),
                     &[last_score[head].expect("order")],
                 ));
@@ -509,23 +599,23 @@ pub fn schedule_program(cfg: &AccelConfig, program: &[Command], s_kv: usize) -> 
                 } else {
                     vec![softmax_ev[head].expect("order")]
                 };
-                proj_v[head] = Some(gemm(&mut tl, d_model, &deps));
+                proj_v[head] = Some(gemm(&mut tl, format!("h{head}:VWv"), d_model, &deps));
             }
             Command::Context { head } => {
                 let deps = [
                     softmax_ev[head].expect("order"),
                     proj_v[head].expect("order"),
                 ];
-                contexts.push(gemm(&mut tl, s_kv, &deps));
+                panels.push(gemm(&mut tl, format!("h{head}:PV"), s_kv, &deps));
             }
-            Command::OutputPanel { .. } => {
-                last_out = Some(gemm(&mut tl, d_model, &contexts));
+            Command::OutputPanel { panel } => {
+                last_out = Some(gemm(&mut tl, format!("G{panel}"), d_model, &panels));
             }
-            Command::FfnHidden { .. } => {
-                contexts.push(gemm(&mut tl, d_model, &[]));
+            Command::FfnHidden { panel } => {
+                panels.push(gemm(&mut tl, format!("P{panel}"), d_model, &[]));
             }
-            Command::FfnOutput { .. } => {
-                last_out = Some(gemm(&mut tl, d_ff, &contexts));
+            Command::FfnOutput { panel } => {
+                last_out = Some(gemm(&mut tl, format!("G{panel}"), d_ff, &panels));
             }
             Command::LayerNorm => {
                 tl.schedule(
@@ -537,7 +627,20 @@ pub fn schedule_program(cfg: &AccelConfig, program: &[Command], s_kv: usize) -> 
             }
         }
     }
-    tl.makespan()
+    let cycles = tl.makespan();
+    let sa_busy = tl.busy(sa);
+    ScheduleReport {
+        cycles,
+        latency_us: cfg.clock.cycles_to_us(cycles),
+        sa_busy,
+        sa_utilization: sa_busy.get() as f64 / cycles.get().max(1) as f64,
+        timeline: tl,
+    }
+}
+
+/// The makespan of [`replay`].
+pub fn schedule_program(cfg: &AccelConfig, program: &[Command], s_kv: usize) -> Cycle {
+    replay(cfg, program, s_kv).cycles
 }
 
 #[cfg(test)]
@@ -670,40 +773,6 @@ mod tests {
             let x = qffn.quantize_input(&tensor::init::normal(&mut rng, s, cfg.d_model, 1.0));
             let (want, _) = qffn.forward(&x);
             assert_eq!(execute_ffn(&program, &qffn, &x), want, "s = {s}");
-        }
-    }
-
-    #[test]
-    fn timing_interpreter_matches_the_scheduler_exactly() {
-        let cfg = AccelConfig::paper_default();
-        let mha_prog = mha_program(cfg.model.h, cfg.s);
-        assert_eq!(
-            schedule_program(&cfg, &mha_prog, cfg.s),
-            crate::scheduler::schedule_mha(&cfg).cycles
-        );
-        let ffn_prog = ffn_program(cfg.model.d_model, cfg.model.d_ff);
-        assert_eq!(
-            schedule_program(&cfg, &ffn_prog, cfg.s),
-            crate::scheduler::schedule_ffn(&cfg).cycles
-        );
-    }
-
-    #[test]
-    fn timing_interpreter_matches_under_every_policy() {
-        use crate::config::SchedPolicy;
-        for pol in [
-            SchedPolicy::naive(),
-            SchedPolicy::paper(),
-            SchedPolicy::aggressive(),
-        ] {
-            let mut cfg = AccelConfig::paper_default();
-            cfg.sched = pol;
-            let prog = mha_program(cfg.model.h, cfg.s);
-            assert_eq!(
-                schedule_program(&cfg, &prog, cfg.s),
-                crate::scheduler::schedule_mha(&cfg).cycles,
-                "{pol:?}"
-            );
         }
     }
 

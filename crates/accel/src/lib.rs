@@ -12,14 +12,18 @@
 //!   (numerics live in [`quantized::softmax`]);
 //! * [`layernorm_module`] — the Fig. 7 latency-optimised LayerNorm
 //!   timing in all three published variants;
-//! * [`scheduler`] — Algorithm 1: the static op schedule for the MHA and
-//!   FFN ResBlocks, with the paper's two overlap optimisations as
-//!   toggleable policies;
+//! * [`isa`] — Algorithm 1 as a command program lowered from the
+//!   operator graph, the one encoding of the flow: its interpreter
+//!   computes the numerics (fast resident-panel path, or the PE grid via
+//!   [`engine::ArrayEngine`]) and its replay gives the timing;
+//! * [`scheduler`] — the static op schedule for the MHA and FFN
+//!   ResBlocks (the replay of the [`isa`] program), with the paper's two
+//!   overlap optimisations as toggleable policies;
 //! * [`area`] — a parametric LUT/FF/BRAM/DSP model calibrated to the
 //!   paper's Table II, plus the 16.7 W power point;
 //! * [`analysis`] — Eq. (3) and MAC/parameter counting;
-//! * [`top`] — the [`Accelerator`] facade tying numerics and timing
-//!   together.
+//! * [`top`] — the [`Accelerator`] facade: loaded weights, and runs that
+//!   execute and replay one lowered program.
 //!
 //! # Example
 //!

@@ -126,24 +126,29 @@ pub fn qk_matmul_i8(q: &Mat<i8>, k: &Mat<i8>) -> Result<Mat<i32>, ShapeError> {
     if q.cols() != k.cols() {
         return Err(ShapeError::new("qk_matmul_i8", q.shape(), k.shape()));
     }
-    let s = k.rows();
-    let plan = qk_plan(s);
-    // Zero-pad K's rows to the array width (extra output columns are
-    // zero products and get cropped).
-    let k_padded = if plan.padded_k_rows > s {
-        k.padded(plan.padded_k_rows, k.cols())
-    } else {
-        k.clone()
-    };
-    let mut tiles_out = Vec::with_capacity(plan.tiles);
-    for t in 0..plan.tiles {
-        let r0 = t * PANEL_COLS;
-        let rows = PANEL_COLS.min(k_padded.rows() - r0);
-        let k_tile = k_padded.submatrix(r0, 0, rows, k_padded.cols())?;
-        tiles_out.push(gemm::matmul_i8_nt(q, &k_tile)?);
+    let tiles = (0..qk_plan(k.rows()).tiles)
+        .map(|t| gemm::matmul_i8_nt(q, &qk_tile(k, t)))
+        .collect::<Result<Vec<_>, _>>()?;
+    Mat::hconcat(&tiles)?.submatrix(0, 0, q.rows(), k.rows())
+}
+
+/// The key rows score tile `tile` of [`qk_plan`]`(k.rows())` streams:
+/// all of `k` zero-padded to 64 rows when `s < 64` (the extra output
+/// columns are zero products, cropped by the caller), otherwise the
+/// tile's own rows, at most 64.
+///
+/// # Panics
+///
+/// Panics if `tile` is outside the plan.
+pub fn qk_tile(k: &Mat<i8>, tile: usize) -> Mat<i8> {
+    let plan = qk_plan(k.rows());
+    assert!(tile < plan.tiles, "tile {tile} out of plan");
+    if plan.padded_k_rows > k.rows() {
+        return k.padded(plan.padded_k_rows, k.cols());
     }
-    let full = Mat::hconcat(&tiles_out)?;
-    full.submatrix(0, 0, q.rows(), s)
+    let r0 = tile * PANEL_COLS;
+    let rows = PANEL_COLS.min(k.rows() - r0);
+    k.submatrix(r0, 0, rows, k.cols()).expect("tile in range")
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! The top-level [`Accelerator`] facade (Fig. 5): quantized weights
 //! loaded into the weight memory, inputs streamed through the SA /
 //! Softmax / LayerNorm pipeline, outputs plus a cycle-accurate execution
-//! report.
+//! report. A run lowers its ResBlock to the Algorithm-1 program
+//! ([`crate::isa`]), executes it on the bit-exact interpreter and
+//! replays the same program for the timing.
 
 use std::error::Error;
 use std::fmt;
@@ -11,6 +13,7 @@ use tensor::Mat;
 
 use crate::area::{estimate_power, AreaModel, PowerEstimate};
 use crate::config::AccelConfig;
+use crate::isa;
 use crate::scheduler::{self, ScheduleReport};
 
 /// Errors of the accelerator facade.
@@ -51,10 +54,11 @@ pub struct RunReport {
 
 /// The accelerator: configuration + loaded quantized weights.
 ///
-/// Numerics are delegated to the bit-exact [`quantized`] datapath;
-/// timing to the [`scheduler`]. Both derive from the same configuration,
+/// Numerics and timing both come from one Algorithm-1 program: the ISA
+/// interpreter computes the outputs (bit-identical to the [`quantized`]
+/// datapath) and the replay of the same commands gives the cycle count,
 /// so a run's outputs are exactly what the RTL would produce and its
-/// cycle count is what the control flow of Algorithm 1 implies.
+/// timing is what the control flow of Algorithm 1 implies.
 #[derive(Debug, Clone)]
 pub struct Accelerator {
     cfg: AccelConfig,
@@ -133,8 +137,9 @@ impl Accelerator {
             .ok_or(AccelError::WeightsNotLoaded("MHA"))?;
         self.check_len(xq.rows())?;
         self.check_len(xkv.rows())?;
-        let (out, _p) = block.forward(xq, xkv, mask);
-        let schedule = scheduler::schedule_mha_cross(&self.cfg, xq.rows(), xkv.rows());
+        let program = isa::mha_program(block.heads(), xkv.rows());
+        let out = isa::execute_mha(&program, block, xq, xkv, mask);
+        let schedule = isa::replay(&self.cfg, &program, xkv.rows());
         Ok((out, RunReport { schedule }))
     }
 
@@ -150,8 +155,10 @@ impl Accelerator {
             .as_ref()
             .ok_or(AccelError::WeightsNotLoaded("FFN"))?;
         self.check_len(x.rows())?;
-        let (out, _hidden) = block.forward(x);
-        let schedule = scheduler::schedule_ffn_len(&self.cfg, x.rows());
+        let (w1, w2) = block.sublayers();
+        let program = isa::ffn_program(w2.weight_q().cols(), w1.weight_q().cols());
+        let out = isa::execute_ffn(&program, block, x);
+        let schedule = isa::replay(&self.cfg, &program, x.rows());
         Ok((out, RunReport { schedule }))
     }
 

@@ -1,11 +1,11 @@
-//! Cross-validation between the two views of the accelerator: the
-//! array-level execution engine (what the PE grid actually does, pass by
-//! pass) and the scheduler (when each pass happens). Their op
-//! inventories must agree exactly.
+//! Cross-validation of the array-level execution engine (what the PE
+//! grid actually does, pass by pass) against the Algorithm-1 program it
+//! executes, the analytic MAC counts and the scheduled timing.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use transformer_accel::accel::engine::ArrayEngine;
+use transformer_accel::accel::isa::{ffn_program, mha_program, Command};
 use transformer_accel::accel::{scheduler, AccelConfig};
 use transformer_accel::quantized::{QuantFfnResBlock, QuantMhaResBlock, SoftmaxMode};
 use transformer_accel::transformer::config::ModelConfig;
@@ -48,28 +48,34 @@ fn accel_cfg(s: usize) -> AccelConfig {
     }
 }
 
+/// Commands that issue systolic-array passes: everything but the
+/// softmax and LayerNorm modules.
+fn sa_commands(program: &[Command]) -> usize {
+    program
+        .iter()
+        .filter(|c| !matches!(c, Command::Softmax { .. } | Command::LayerNorm))
+        .count()
+}
+
 #[test]
 fn mha_gemm_pass_counts_agree() {
+    // d_k = 64 (one weight panel per head) and d_k = 8 (tiny: four
+    // heads share one 64-column panel, each still its own pass).
     let s = 16;
     let (qmha, _, codes) = quantized_blocks(s);
-    let mut engine = ArrayEngine::new(s);
-    let run = engine.execute_mha(&qmha, &codes, &codes, None);
+    let run = ArrayEngine::new(s).execute_mha(&qmha, &codes, &codes, None);
+    assert_eq!(run.stats.gemm_passes, sa_commands(&mha_program(2, s)));
+    assert_eq!(run.stats.gemm_passes, 12);
 
-    let rep = scheduler::schedule_mha_cross(&accel_cfg(s), s, s);
-    let scheduled_gemms = rep
-        .timeline
-        .events()
-        .iter()
-        .filter(|e| {
-            let u = rep.timeline.unit_name(e.unit);
-            u == "systolic_array" && e.label != "layernorm"
-        })
-        .count();
-    assert_eq!(
-        run.stats.gemm_passes, scheduled_gemms,
-        "engine executed {} GEMM passes, scheduler issued {}",
-        run.stats.gemm_passes, scheduled_gemms
-    );
+    let tiny = ModelConfig::tiny_for_tests();
+    let mut rng = StdRng::seed_from_u64(0xC0DF);
+    let calib = vec![tensor::init::normal(&mut rng, 8, tiny.d_model, 1.0)];
+    let mha = MhaResBlock::new(&tiny, &mut rng);
+    let q = QuantMhaResBlock::from_f32(&mha, &calib, &calib, SoftmaxMode::Hardware);
+    let x = q.quantize_input_q(&calib[0]);
+    let run = ArrayEngine::new(8).execute_mha(&q, &x, &x, None);
+    assert_eq!(run.stats.gemm_passes, sa_commands(&mha_program(tiny.h, 8)));
+    assert_eq!(run.stats.gemm_passes, 24);
 }
 
 #[test]
@@ -78,17 +84,18 @@ fn ffn_gemm_pass_counts_agree() {
     let (_, qffn, _) = quantized_blocks(s);
     let mut rng = StdRng::seed_from_u64(0xFEED);
     let x = qffn.quantize_input(&tensor::init::normal(&mut rng, s, 128, 1.0));
-    let mut engine = ArrayEngine::new(s);
-    let run = engine.execute_ffn(&qffn, &x);
+    let run = ArrayEngine::new(s).execute_ffn(&qffn, &x);
+    assert_eq!(run.stats.gemm_passes, sa_commands(&ffn_program(128, 512)));
+    assert_eq!(run.stats.gemm_passes, 10);
 
-    let rep = scheduler::schedule_ffn_len(&accel_cfg(s), s);
-    let scheduled_gemms = rep
-        .timeline
-        .events()
-        .iter()
-        .filter(|e| rep.timeline.unit_name(e.unit) == "systolic_array")
-        .count();
-    assert_eq!(run.stats.gemm_passes, scheduled_gemms);
+    let tiny = ModelConfig::tiny_for_tests();
+    let calib = vec![tensor::init::normal(&mut rng, 8, tiny.d_model, 1.0)];
+    let q = QuantFfnResBlock::from_f32(&FfnResBlock::new(&tiny, &mut rng), &calib);
+    let x = q.quantize_input(&calib[0]);
+    let run = ArrayEngine::new(8).execute_ffn(&q, &x);
+    let program = ffn_program(tiny.d_model, tiny.d_ff);
+    assert_eq!(run.stats.gemm_passes, sa_commands(&program));
+    assert_eq!(run.stats.gemm_passes, 2);
 }
 
 #[test]
