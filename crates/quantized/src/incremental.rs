@@ -9,15 +9,14 @@
 //! **bit-identical** to [`QuantSeq2Seq::greedy_decode`] — asserted by
 //! tests — while doing O(L) layer passes instead of O(L²).
 //!
-//! Self-attention K/V live in a [`KvArena`] — two shared
-//! [`tensor::kvpool::KvPool`]s of fixed-size pages with free-list
-//! recycling. A session holds only block tables ([`KvSeq`]); pages are
-//! allocated on demand as tokens are consumed (no `max_len`
-//! preallocation) and returned copy-free when the session is
-//! [released](QuantIncrementalSession::release). Since the pages store
-//! exactly the same i8 codes a flat cache held, paging is lossless:
-//! every decode remains bit-identical. Cross-attention K/V are exact-size
-//! flat matrices (their length is the source length, known up front).
+//! The caches are the shared [`tensor::kvpool`] arena and session over
+//! i8 codes ([`KvArena`], [`KvSession`]): a session holds only block
+//! tables, pages are allocated on demand as tokens are consumed and
+//! returned copy-free when the session is
+//! [released](KvSession::release). Since the pages store exactly the
+//! same i8 codes a flat cache held, paging is lossless: every decode
+//! remains bit-identical. Cross-attention K/V are exact-size flat
+//! matrices (their length is the source length, known up front).
 //!
 //! Sessions can also advance **together**: [`QuantSeq2Seq::step_sessions`]
 //! stacks one active row per session and runs each layer's projections,
@@ -32,8 +31,10 @@
 //! steps), with the executor's intra-chunk causal mask keeping the
 //! result bit-identical to token-at-a-time ingestion.
 
+use std::ops::{Deref, DerefMut};
+
 use graph::{Executor, Graph};
-use tensor::kvpool::{page_rows_from_env, KvPool, KvSeq, DEFAULT_PAGE_ROWS};
+use tensor::kvpool::{KvModel, KvSession};
 use tensor::Mat;
 use transformer::tasks::{BOS, EOS};
 
@@ -41,97 +42,41 @@ use crate::exec::{CacheRef, QRowVal, QuantRowExec};
 use crate::mha::QuantMhaResBlock;
 use crate::model::QuantSeq2Seq;
 
-/// The shared paged store for projected self-attention K/V codes: one
-/// page pool for keys, one for values, serving every session and every
-/// decoder layer (all caches are `d_model` wide). Create one per
-/// serving engine (or one per decode for the convenience entry points)
-/// and pass it to every session call.
-///
-/// Page height defaults to [`DEFAULT_PAGE_ROWS`] and is overridable via
-/// the `ACCEL_KV_PAGE` environment variable (read at construction).
-#[derive(Debug)]
-pub struct KvArena {
-    pub(crate) k: KvPool<i8>,
-    pub(crate) v: KvPool<i8>,
-}
+/// The INT8 model's paged KV arena: i8 K and V code pools shared by
+/// every session and layer.
+pub type KvArena = tensor::kvpool::KvArena<i8>;
 
-impl KvArena {
-    /// An arena for caches `d_model` columns wide, with the page height
-    /// taken from `ACCEL_KV_PAGE` (default [`DEFAULT_PAGE_ROWS`]).
-    pub fn new(d_model: usize) -> Self {
-        Self::with_page_rows(d_model, page_rows_from_env(DEFAULT_PAGE_ROWS))
-    }
-
-    /// An arena sized for `model`'s decoder caches.
-    pub fn for_model(model: &QuantSeq2Seq) -> Self {
-        Self::new(model.tgt_embedding().d_model())
-    }
-
-    /// An arena with an explicit page height (tests pin this so their
-    /// page-boundary assertions hold under any `ACCEL_KV_PAGE`).
-    pub fn with_page_rows(d_model: usize, page_rows: usize) -> Self {
-        Self {
-            k: KvPool::new(page_rows, d_model),
-            v: KvPool::new(page_rows, d_model),
-        }
-    }
-
-    /// Rows per page.
-    pub fn page_rows(&self) -> usize {
-        self.k.page_rows()
-    }
-
-    /// Bytes resident in pages currently held by live sessions (whole
-    /// pages, K and V pools together) — the serving memory budget's
-    /// denominator.
-    pub fn kv_bytes_in_use(&self) -> usize {
-        self.k.bytes_in_use() + self.v.bytes_in_use()
-    }
-
-    /// High-water bytes ever allocated (live + free-listed pages).
-    pub fn kv_bytes_allocated(&self) -> usize {
-        self.k.bytes_allocated() + self.v.bytes_allocated()
-    }
-
-    /// Pages held by live sessions across both pools.
-    pub fn pages_in_use(&self) -> usize {
-        self.k.pages_in_use() + self.v.pages_in_use()
-    }
-
-    /// The key-code pool (for building [`CacheRef`]s in tests/benches).
-    pub fn key_pool(&self) -> &KvPool<i8> {
-        &self.k
-    }
-
-    /// The value-code pool.
-    pub fn val_pool(&self) -> &KvPool<i8> {
-        &self.v
+impl KvModel for QuantSeq2Seq {
+    type Elem = i8;
+    fn kv_cols(&self) -> usize {
+        self.tgt_embedding().d_model()
     }
 }
 
-#[derive(Debug)]
-struct QLayerCache {
-    self_k: KvSeq,
-    self_v: KvSeq,
-    cross_k: Mat<i8>,
-    cross_v: Mat<i8>,
-}
-
-/// An INT8 decoding session over one source sentence. Self-attention
-/// K/V are block tables into the [`KvArena`] the session was started
-/// with; every session method must be given that same arena. Call
-/// [`release`](Self::release) when done to return the pages (dropping
-/// the session without releasing leaks its pages until the arena is
-/// dropped).
+/// An INT8 decoding session over one source sentence: a
+/// [`KvSession`] of i8 codes (position, memory length, release and
+/// resident bytes come from it through `Deref`) plus the scratch row
+/// the per-token attention writes into.
 #[derive(Debug)]
 pub struct QuantIncrementalSession {
-    memory_rows: usize,
-    layers: Vec<QLayerCache>,
-    pos: usize,
+    kv: KvSession<i8>,
     /// Scratch row for the concatenated head outputs `P` — allocated
     /// once per session and fully overwritten by every ResBlock pass, so
     /// the per-token hot loop never allocates head panels.
     p_buf: Mat<i8>,
+}
+
+impl Deref for QuantIncrementalSession {
+    type Target = KvSession<i8>;
+    fn deref(&self) -> &KvSession<i8> {
+        &self.kv
+    }
+}
+
+impl DerefMut for QuantIncrementalSession {
+    fn deref_mut(&mut self) -> &mut KvSession<i8> {
+        &mut self.kv
+    }
 }
 
 /// The cached-KV operator graph shared by every decoder MHA ResBlock
@@ -204,30 +149,13 @@ impl QuantSeq2Seq {
     pub fn start_session(&self, arena: &mut KvArena, src: &[usize]) -> QuantIncrementalSession {
         assert!(!src.is_empty(), "source must be non-empty");
         let memory = self.encode(src);
-        let d_model = memory.cols();
-        assert_eq!(
-            arena.k.cols(),
-            d_model,
-            "arena width does not match the model's d_model"
-        );
-        let layers = self
-            .decoder_layers()
-            .iter()
-            .map(|layer| {
-                let (_, wk, wv, _) = layer.cross_mha.projections();
-                QLayerCache {
-                    self_k: KvSeq::new(),
-                    self_v: KvSeq::new(),
-                    cross_k: wk.forward(&memory),
-                    cross_v: wv.forward(&memory),
-                }
-            })
-            .collect();
+        let cross = self.decoder_layers().iter().map(|layer| {
+            let (_, wk, wv, _) = layer.cross_mha.projections();
+            (wk.forward(&memory), wv.forward(&memory))
+        });
         QuantIncrementalSession {
-            memory_rows: memory.rows(),
-            layers,
-            pos: 0,
-            p_buf: Mat::zeros(1, d_model),
+            kv: KvSession::new(arena, cross),
+            p_buf: Mat::zeros(1, memory.cols()),
         }
     }
 
@@ -240,38 +168,39 @@ impl QuantSeq2Seq {
         session: &mut QuantIncrementalSession,
         token: usize,
     ) -> Vec<f32> {
-        let emb = self.tgt_embedding().embed_at(token, session.pos);
+        let emb = self.tgt_embedding().embed_at(token, session.pos());
         let emb_row = Mat::from_vec(1, emb.len(), emb).expect("row");
         let mut x = self.decoder_layers()[0].self_mha.quantize_input_q(&emb_row);
         let g = cached_graph(&self.decoder_layers()[0].self_mha);
-        let QuantIncrementalSession { layers, p_buf, .. } = session;
-        for (layer, cache) in self.decoder_layers().iter().zip(layers.iter_mut()) {
+        let QuantIncrementalSession { kv, p_buf } = session;
+        for (l, layer) in self.decoder_layers().iter().enumerate() {
             // Extend the projected self-attention cache with this row.
             let (_, wk, wv, _) = layer.self_mha.projections();
             let k_new = wk.forward(&x);
             let v_new = wv.forward(&x);
-            arena.k.push_row(&mut cache.self_k, k_new.row(0));
-            arena.v.push_row(&mut cache.self_v, v_new.row(0));
+            kv.push_kv(arena, l, k_new.row(0), v_new.row(0));
+            let (self_k, self_v) = kv.self_kv(l);
             let a = resblock_row(
                 &g,
                 &layer.self_mha,
                 &x,
-                CacheRef::paged(&arena.k, &cache.self_k),
-                CacheRef::paged(&arena.v, &cache.self_v),
+                CacheRef::paged(arena.key_pool(), self_k),
+                CacheRef::paged(arena.val_pool(), self_v),
                 p_buf,
             );
+            let (cross_k, cross_v) = kv.cross_kv(l);
             let b = resblock_row(
                 &g,
                 &layer.cross_mha,
                 &a,
-                CacheRef::flat(&cache.cross_k),
-                CacheRef::flat(&cache.cross_v),
+                CacheRef::flat(cross_k),
+                CacheRef::flat(cross_v),
                 p_buf,
             );
             let (c, _) = layer.ffn.forward(&b);
             x = c;
         }
-        session.pos += 1;
+        kv.advance(1);
         let last_ffn = &self.decoder_layers().last().expect("nonempty decoder").ffn;
         let x_f32 = last_ffn.dequantize_output(&x);
         self.output_projection_logits(&x_f32)
@@ -347,7 +276,7 @@ impl QuantSeq2Seq {
         for (session, chunk) in sessions.iter().zip(chunks) {
             for (j, &token) in chunk.iter().enumerate() {
                 emb.row_mut(r)
-                    .copy_from_slice(&self.tgt_embedding().embed_at(token, session.pos + j));
+                    .copy_from_slice(&self.tgt_embedding().embed_at(token, session.pos() + j));
                 r += 1;
             }
         }
@@ -361,10 +290,8 @@ impl QuantSeq2Seq {
             let v_new = wv.forward(&x);
             let mut r0 = 0;
             for (session, chunk) in sessions.iter_mut().zip(chunks) {
-                let cache = &mut session.layers[l];
                 for j in 0..chunk.len() {
-                    arena.k.push_row(&mut cache.self_k, k_new.row(r0 + j));
-                    arena.v.push_row(&mut cache.self_v, v_new.row(r0 + j));
+                    session.push_kv(arena, l, k_new.row(r0 + j), v_new.row(r0 + j));
                 }
                 r0 += chunk.len();
             }
@@ -375,11 +302,11 @@ impl QuantSeq2Seq {
                 &groups,
                 sessions
                     .iter()
-                    .map(|s| CacheRef::paged(&arena.k, &s.layers[l].self_k))
+                    .map(|s| CacheRef::paged(arena.key_pool(), s.self_kv(l).0))
                     .collect(),
                 sessions
                     .iter()
-                    .map(|s| CacheRef::paged(&arena.v, &s.layers[l].self_v))
+                    .map(|s| CacheRef::paged(arena.val_pool(), s.self_kv(l).1))
                     .collect(),
                 true,
             );
@@ -390,11 +317,11 @@ impl QuantSeq2Seq {
                 &groups,
                 sessions
                     .iter()
-                    .map(|s| CacheRef::flat(&s.layers[l].cross_k))
+                    .map(|s| CacheRef::flat(s.cross_kv(l).0))
                     .collect(),
                 sessions
                     .iter()
-                    .map(|s| CacheRef::flat(&s.layers[l].cross_v))
+                    .map(|s| CacheRef::flat(s.cross_kv(l).1))
                     .collect(),
                 false,
             );
@@ -402,7 +329,7 @@ impl QuantSeq2Seq {
             x = c;
         }
         for (session, chunk) in sessions.iter_mut().zip(chunks) {
-            session.pos += chunk.len();
+            session.advance(chunk.len());
         }
         // Only each session's last chunk row carries next-token logits;
         // gather those b rows and project once.
@@ -470,100 +397,31 @@ impl QuantSeq2Seq {
 }
 
 impl QuantIncrementalSession {
-    /// Target tokens consumed so far.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
-    /// Encoder memory length this session attends over.
-    pub fn memory_rows(&self) -> usize {
-        self.memory_rows
-    }
-
-    /// Bytes of paged KV storage resident for this session (whole
-    /// pages, K and V, all layers).
-    pub fn resident_kv_bytes(&self, arena: &KvArena) -> usize {
-        self.layers
-            .iter()
-            .map(|c| {
-                (arena.k.resident_rows(&c.self_k) + arena.v.resident_rows(&c.self_v))
-                    * arena.k.cols()
-            })
-            .sum()
-    }
-
-    /// Rewinds the session by one step: drops the newest row from every
-    /// layer's projected self-attention K/V cache and decrements `pos`.
-    ///
-    /// The caches hold *inputs* to the datapath (the projected codes of
-    /// tokens already consumed), so after a rollback the next
-    /// `step_session` with the same token is bit-identical to the first
-    /// attempt — the recovery primitive the serving layer's
-    /// retry-on-detected-fault path is built on. Truncation crosses page
-    /// boundaries: a page emptied by the rollback goes back to the
-    /// arena's free list.
+    /// Rewinds the session by one step — the recovery primitive the
+    /// serving layer's retry-on-detected-fault path is built on (see
+    /// [`KvSession::rollback_rows`]).
     ///
     /// # Panics
     ///
     /// Panics if the session has not consumed any tokens yet.
     pub fn rollback_step(&mut self, arena: &mut KvArena) {
-        self.rollback_rows(arena, 1);
+        self.kv.rollback_rows(arena, 1);
     }
 
-    /// Rewinds the session by `rows` steps — the chunk-sized rollback a
-    /// faulted prefill step needs (a chunk is replayed whole, exactly
-    /// like a faulted decode row).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session has consumed fewer than `rows` tokens.
+    /// [`KvSession::rollback_rows`], callable as
+    /// `s.rollback_rows(arena, s.pos() - n)` (a method reached through
+    /// `DerefMut` cannot read `s` in its arguments).
     pub fn rollback_rows(&mut self, arena: &mut KvArena, rows: usize) {
-        assert!(rows > 0, "rollback of zero rows");
-        assert!(
-            self.pos >= rows,
-            "rollback_step on a fresh session (pos {} < rows {rows})",
-            self.pos
-        );
-        self.pos -= rows;
-        for cache in &mut self.layers {
-            arena.k.truncate(&mut cache.self_k, self.pos);
-            arena.v.truncate(&mut cache.self_v, self.pos);
-        }
+        self.kv.rollback_rows(arena, rows);
     }
 
-    /// Returns every KV page this session holds to the arena's free
-    /// list (copy-free). The session is back to a fresh state
-    /// (`pos == 0`) but remains usable.
-    pub fn release(&mut self, arena: &mut KvArena) {
-        self.pos = 0;
-        for cache in &mut self.layers {
-            arena.k.release(&mut cache.self_k);
-            arena.v.release(&mut cache.self_v);
-        }
-    }
-
-    /// Forks this session: the child sees the same consumed prefix at
-    /// the same position, **sharing** every full KV page with the
-    /// parent (refcount bump — near-zero copy; only partially-filled
-    /// tail pages are duplicated) and cloning the per-source cross-
-    /// attention K/V. Parent and child then advance, roll back, and
-    /// release fully independently — divergent pushes copy-on-write, so
-    /// neither can perturb the other's bits. This is the primitive the
-    /// serving layer's shared-prefix cache hits fork on admission.
+    /// Forks this session (see [`KvSession::fork`]): full KV pages are
+    /// shared with the parent, divergent pushes copy-on-write. This is
+    /// the primitive the serving layer's shared-prefix cache hits fork
+    /// on admission.
     pub fn fork(&self, arena: &mut KvArena) -> QuantIncrementalSession {
         QuantIncrementalSession {
-            memory_rows: self.memory_rows,
-            layers: self
-                .layers
-                .iter()
-                .map(|c| QLayerCache {
-                    self_k: arena.k.fork(&c.self_k),
-                    self_v: arena.v.fork(&c.self_v),
-                    cross_k: c.cross_k.clone(),
-                    cross_v: c.cross_v.clone(),
-                })
-                .collect(),
-            pos: self.pos,
+            kv: self.kv.fork(arena),
             p_buf: Mat::zeros(1, self.p_buf.cols()),
         }
     }
@@ -705,15 +563,10 @@ mod tests {
         assert_eq!(want, got);
         for (s, b) in singles.iter().zip(&batched) {
             assert_eq!(s.pos(), b.pos());
-            for (lc_s, lc_b) in s.layers.iter().zip(&b.layers) {
-                assert_eq!(
-                    arena_s.k.to_mat(&lc_s.self_k),
-                    arena_b.k.to_mat(&lc_b.self_k)
-                );
-                assert_eq!(
-                    arena_s.v.to_mat(&lc_s.self_v),
-                    arena_b.v.to_mat(&lc_b.self_v)
-                );
+            for l in 0..q.decoder_layers().len() {
+                let ((ks, vs), (kb, vb)) = (s.self_kv(l), b.self_kv(l));
+                assert_eq!(arena_s.key_pool().to_mat(ks), arena_b.key_pool().to_mat(kb));
+                assert_eq!(arena_s.val_pool().to_mat(vs), arena_b.val_pool().to_mat(vb));
             }
         }
     }
@@ -750,10 +603,10 @@ mod tests {
             }
             assert_eq!(want, got, "chunk size {split}");
             assert_eq!(s.pos(), s_ref.pos());
-            for (lc, lc_ref) in s.layers.iter().zip(&s_ref.layers) {
+            for l in 0..q.decoder_layers().len() {
                 assert_eq!(
-                    arena.k.to_mat(&lc.self_k),
-                    arena_ref.k.to_mat(&lc_ref.self_k),
+                    arena.key_pool().to_mat(s.self_kv(l).0),
+                    arena_ref.key_pool().to_mat(s_ref.self_kv(l).0),
                     "chunk size {split}"
                 );
             }
@@ -827,9 +680,9 @@ mod tests {
         s.rollback_step(&mut arena);
         s.rollback_step(&mut arena);
         assert_eq!(s.pos(), 0);
-        for cache in &s.layers {
-            assert_eq!(cache.self_k.rows(), 0);
-            assert_eq!(cache.self_v.rows(), 0);
+        for l in 0..q.decoder_layers().len() {
+            assert_eq!(s.self_kv(l).0.rows(), 0);
+            assert_eq!(s.self_kv(l).1.rows(), 0);
         }
         assert_eq!(first, q.step_session(&mut arena, &mut s, BOS));
         assert_eq!(second, q.step_session(&mut arena, &mut s, 4));

@@ -55,12 +55,10 @@
 //! occupant retires degraded and the slot never refills). Per-request
 //! **deadlines** ([`Request::deadline_steps`] /
 //! [`EngineConfig::deadline_steps`]) bound how many engine steps a
-//! request may hold a slot. For multi-instance deployments,
-//! [`run_sharded`] fans length buckets out across `N` engine instances
-//! on scoped threads (`tensor::par`), each with its own arena, and a
-//! panicking shard is isolated: its requests are reported in
-//! [`ShardedRun::failures`] while every other shard's responses come
-//! back unaffected.
+//! request may hold a slot. In debug builds every step ends with
+//! [`ContinuousBatcher::check_invariants`], which checks the arena's
+//! page refcounts against the block tables of every live session and
+//! cached prefix.
 //!
 //! Under the hood every step runs the shared cached-KV operator graph
 //! (`graph::mha_cached_graph`) through the `Executor` seam:
@@ -75,9 +73,7 @@
 
 pub mod prefix;
 
-use std::any::Any;
 use std::collections::{HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use quantized::incremental::{KvArena, QuantIncrementalSession};
@@ -92,8 +88,6 @@ use transformer::tasks::{BOS, EOS};
 pub enum ServingError {
     /// `EngineConfig::max_batch` was zero.
     ZeroSlots,
-    /// `run_sharded` was asked for zero shards.
-    ZeroShards,
     /// A request's source sentence was empty.
     EmptySource {
         /// The offending request's id.
@@ -118,7 +112,6 @@ impl std::fmt::Display for ServingError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServingError::ZeroSlots => write!(f, "need at least one decode slot"),
-            ServingError::ZeroShards => write!(f, "need at least one shard"),
             ServingError::EmptySource { id } => {
                 write!(f, "request {id}: source must be non-empty")
             }
@@ -241,7 +234,7 @@ pub struct EngineConfig {
     /// rows).
     pub max_batch: usize,
     /// Padding-waste budget handed to [`PaddedBatch::buckets`] during
-    /// admission and sharding.
+    /// admission.
     pub bucket_max_waste: usize,
     /// Maximum prompt rows one prefilling request consumes per step.
     /// `1` degenerates to token-at-a-time prefill.
@@ -394,8 +387,8 @@ impl ServingStats {
         self.rows as f64 / (self.steps * max_batch) as f64
     }
 
-    /// Accumulates another engine's counters (used to roll up shards;
-    /// KV byte counters add because each shard owns its own arena).
+    /// Accumulates another engine's counters (KV byte counters add, as
+    /// each engine owns its own arena).
     pub fn merge(&mut self, other: &ServingStats) {
         self.steps += other.steps;
         self.rows += other.rows;
@@ -995,7 +988,20 @@ impl<'m> ContinuousBatcher<'m> {
         let fusion = graph::fusion_tally().since(&fusion0);
         self.stats.ops_fused += fusion.ops_fused as usize;
         self.stats.intermediates_elided_bytes += fusion.intermediates_elided_bytes as usize;
+        #[cfg(debug_assertions)]
+        self.check_invariants();
         true
+    }
+
+    /// Panics unless the KV accounting is exact: in both pools, every
+    /// page's refcount equals the number of block tables that list it,
+    /// counted across live slot sessions and prefix-cache entries, and
+    /// `pages_in_use` equals the number of referenced pages. Runs at the
+    /// end of every [`step`](Self::step) in debug builds.
+    pub fn check_invariants(&self) {
+        let live = self.slots.iter().flatten().map(|s| &*s.session);
+        let cached = self.prefix.sessions().into_iter().map(|s| &**s);
+        self.arena.check_refcounts(live.chain(cached));
     }
 
     /// Steps until every submitted request has finished, then returns
@@ -1010,132 +1016,6 @@ impl<'m> ContinuousBatcher<'m> {
         out.sort_by_key(|r| r.id);
         out
     }
-}
-
-/// A shard that panicked during [`run_sharded`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardFailure {
-    /// Index of the shard that panicked.
-    pub shard: usize,
-    /// Ids of the requests routed to that shard (their responses are
-    /// lost; every other shard is unaffected).
-    pub lost_ids: Vec<u64>,
-    /// The panic payload, when it carried a message.
-    pub message: String,
-}
-
-/// Everything [`run_sharded`] produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedRun {
-    /// Responses from all surviving shards, sorted by request id.
-    pub responses: Vec<Response>,
-    /// Per-shard engine counters (a failed shard reports defaults).
-    pub stats: Vec<ServingStats>,
-    /// Shards that panicked, with the request ids they took down.
-    pub failures: Vec<ShardFailure>,
-}
-
-fn panic_message(payload: Box<dyn Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic".to_string()
-    }
-}
-
-/// Runs `requests` across `shards` engine instances on scoped threads:
-/// requests are length-bucketed ([`PaddedBatch::buckets`]), buckets are
-/// dealt to the least-loaded shard (by total member count), and each
-/// shard runs its own [`ContinuousBatcher`] (with its own KV arena)
-/// over the shared model. Token streams are bit-identical to a single
-/// engine (and to sequential decoding) and come back sorted by id,
-/// alongside each shard's counters.
-///
-/// Shards are **fault-isolated**: a panic inside one shard (poisoned
-/// weights, out-of-range tokens, a wedged datapath) is caught on that
-/// shard's thread; its requests are reported in
-/// [`ShardedRun::failures`] and every other shard completes normally.
-///
-/// # Errors
-///
-/// [`ServingError::ZeroShards`] / [`ServingError::ZeroSlots`] for
-/// degenerate shapes, [`ServingError::EmptySource`] /
-/// [`ServingError::DuplicateId`] if any request is invalid (validated
-/// up front, before any shard starts).
-pub fn run_sharded(
-    model: &QuantSeq2Seq,
-    cfg: EngineConfig,
-    requests: Vec<Request>,
-    shards: usize,
-) -> Result<ShardedRun, ServingError> {
-    if shards == 0 {
-        return Err(ServingError::ZeroShards);
-    }
-    if cfg.max_batch == 0 {
-        return Err(ServingError::ZeroSlots);
-    }
-    let mut ids = HashSet::new();
-    for r in &requests {
-        if r.src.is_empty() {
-            return Err(ServingError::EmptySource { id: r.id });
-        }
-        if !ids.insert(r.id) {
-            return Err(ServingError::DuplicateId { id: r.id });
-        }
-    }
-    if requests.is_empty() {
-        return Ok(ShardedRun {
-            responses: Vec::new(),
-            stats: vec![ServingStats::default(); shards],
-            failures: Vec::new(),
-        });
-    }
-    let seqs: Vec<Vec<usize>> = requests.iter().map(|r| r.src.clone()).collect();
-    let buckets = PaddedBatch::buckets(&seqs, cfg.bucket_max_waste);
-    let mut workloads: Vec<Vec<Request>> = (0..shards).map(|_| Vec::new()).collect();
-    for bucket in &buckets {
-        let lightest = (0..shards)
-            .min_by_key(|&s| workloads[s].len())
-            .expect("at least one shard");
-        for &i in &bucket.indices {
-            workloads[lightest].push(requests[i].clone());
-        }
-    }
-    let results = tensor::par::map_with_threads(&workloads, shards, |reqs| {
-        catch_unwind(AssertUnwindSafe(|| {
-            let mut engine = ContinuousBatcher::new(model, cfg).expect("config validated above");
-            for r in reqs {
-                engine.submit(r.clone()).expect("requests validated above");
-            }
-            (engine.run_to_completion(), engine.stats())
-        }))
-        .map_err(panic_message)
-    });
-    let mut run = ShardedRun {
-        responses: Vec::with_capacity(requests.len()),
-        stats: Vec::with_capacity(shards),
-        failures: Vec::new(),
-    };
-    for (shard, (result, reqs)) in results.into_iter().zip(&workloads).enumerate() {
-        match result {
-            Ok((responses, stats)) => {
-                run.responses.extend(responses);
-                run.stats.push(stats);
-            }
-            Err(message) => {
-                run.stats.push(ServingStats::default());
-                run.failures.push(ShardFailure {
-                    shard,
-                    lost_ids: reqs.iter().map(|r| r.id).collect(),
-                    message,
-                });
-            }
-        }
-    }
-    run.responses.sort_by_key(|r| r.id);
-    Ok(run)
 }
 
 #[cfg(test)]
@@ -1456,64 +1336,21 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_is_bit_identical_to_single_engine() {
-        let (q, srcs) = setup(8);
-        let cfg = EngineConfig::with_max_batch(4);
-        let mut single = ContinuousBatcher::new(&q, cfg).unwrap();
-        for r in requests(&srcs, 8) {
-            single.submit(r).unwrap();
-        }
-        let want = decoded(&single.run_to_completion());
-        for shards in [1usize, 2, 3, 8] {
-            let run = run_sharded(&q, cfg, requests(&srcs, 8), shards).unwrap();
-            assert_eq!(decoded(&run.responses), want, "shards {shards}");
-            assert_eq!(run.stats.len(), shards);
-            assert!(run.failures.is_empty());
-            let mut total = ServingStats::default();
-            for s in &run.stats {
-                total.merge(s);
-            }
-            assert_eq!(total.retired, srcs.len());
-        }
-    }
-
-    #[test]
     fn zero_slots_rejected() {
         let (q, _) = setup(2);
         assert_eq!(
             ContinuousBatcher::new(&q, EngineConfig::with_max_batch(0)).err(),
             Some(ServingError::ZeroSlots)
         );
-        assert_eq!(
-            run_sharded(&q, EngineConfig::with_max_batch(0), Vec::new(), 2).err(),
-            Some(ServingError::ZeroSlots)
-        );
-    }
-
-    #[test]
-    fn zero_shards_rejected() {
-        let (q, srcs) = setup(2);
-        assert_eq!(
-            run_sharded(&q, EngineConfig::default(), requests(&srcs, 4), 0).err(),
-            Some(ServingError::ZeroShards)
-        );
     }
 
     #[test]
     fn empty_source_rejected() {
-        let (q, srcs) = setup(2);
+        let (q, _) = setup(2);
         let mut engine = ContinuousBatcher::new(&q, EngineConfig::default()).unwrap();
         assert_eq!(
             engine.submit(Request::new(0, vec![], 4)).err(),
             Some(ServingError::EmptySource { id: 0 })
-        );
-        let bad = vec![
-            Request::new(3, srcs[0].clone(), 4),
-            Request::new(4, vec![], 4),
-        ];
-        assert_eq!(
-            run_sharded(&q, EngineConfig::default(), bad, 2).err(),
-            Some(ServingError::EmptySource { id: 4 })
         );
     }
 
@@ -1525,14 +1362,6 @@ mod tests {
         assert_eq!(
             engine.submit(Request::new(5, srcs[1].clone(), 4)).err(),
             Some(ServingError::DuplicateId { id: 5 })
-        );
-        let dup = vec![
-            Request::new(9, srcs[0].clone(), 4),
-            Request::new(9, srcs[1].clone(), 4),
-        ];
-        assert_eq!(
-            run_sharded(&q, EngineConfig::default(), dup, 2).err(),
-            Some(ServingError::DuplicateId { id: 9 })
         );
     }
 
@@ -1576,35 +1405,6 @@ mod tests {
         let responses = engine.run_to_completion();
         assert_eq!(responses[0].tokens.len(), 1);
         assert_eq!(responses[1].tokens.len(), 6);
-    }
-
-    #[test]
-    fn panicking_shard_is_isolated() {
-        let (q, srcs) = setup(4);
-        let cfg = EngineConfig::with_max_batch(2);
-        // An out-of-vocab token panics inside that shard's embedding
-        // lookup; the huge length keeps it in its own bucket (and so its
-        // own shard) away from the well-formed requests.
-        let mut reqs = requests(&srcs, 6);
-        reqs.push(Request::new(99, vec![usize::MAX / 2; 64], 6));
-        let run = run_sharded(&q, cfg, reqs, 2).unwrap();
-        assert_eq!(run.failures.len(), 1);
-        assert!(run.failures[0].lost_ids.contains(&99));
-        let lost: HashSet<u64> = run.failures[0].lost_ids.iter().copied().collect();
-        // Every request outside the failed shard came back, bit-identical
-        // to a sequential decode.
-        for (i, src) in srcs.iter().enumerate() {
-            if lost.contains(&(i as u64)) {
-                continue;
-            }
-            let resp = run
-                .responses
-                .iter()
-                .find(|r| r.id == i as u64)
-                .expect("surviving shard's response");
-            assert_eq!(resp.tokens, q.greedy_decode_incremental(src, 6));
-        }
-        assert_eq!(run.responses.len() + lost.len(), srcs.len() + 1);
     }
 
     #[test]

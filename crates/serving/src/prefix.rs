@@ -242,6 +242,18 @@ impl PrefixIndex {
         self.entries -= 1;
     }
 
+    /// Every cached snapshot session — the block tables through which
+    /// the index holds KV pages — in no particular order.
+    pub fn sessions(&self) -> Vec<&QuantIncrementalSession> {
+        let mut out = Vec::with_capacity(self.entries);
+        let mut stack = vec![&self.root];
+        while let Some(node) = stack.pop() {
+            out.extend(node.entry.as_ref().map(|e| &e.session));
+            stack.extend(node.children.values());
+        }
+        out
+    }
+
     /// Drops every entry, releasing all forks into `arena`.
     pub fn clear(&mut self, arena: &mut KvArena) {
         while self.entries > 0 {

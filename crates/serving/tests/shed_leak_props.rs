@@ -92,9 +92,11 @@ proptest! {
             // submits land in a partially drained engine.
             if rng.random_range(0..3) == 0 {
                 engine.step();
+                engine.check_invariants();
             }
         }
         let responses = engine.run_to_completion();
+        engine.check_invariants();
         prop_assert_eq!(engine.kv_bytes_in_use(), 0, "all KV released");
         prop_assert_eq!(engine.stats().shed, sheds);
         prop_assert_eq!(responses.len(), admitted.len());
@@ -143,6 +145,7 @@ proptest! {
         }
         for _ in 0..steps_before_cancel {
             engine.step();
+            engine.check_invariants();
         }
 
         // Cancel a random subset (a "mass disconnect").
@@ -163,7 +166,9 @@ proptest! {
                 cancelled.push(id);
             }
         }
+        engine.check_invariants();
         let responses = engine.run_to_completion();
+        engine.check_invariants();
         prop_assert_eq!(engine.kv_bytes_in_use(), 0);
         prop_assert_eq!(engine.stats().cancelled, cancelled.len());
         prop_assert_eq!(responses.len(), n - cancelled.len(),
@@ -216,6 +221,7 @@ proptest! {
             engine.submit(req).unwrap();
         }
         let responses = engine.run_to_completion();
+        engine.check_invariants();
         prop_assert_eq!(engine.kv_bytes_in_use(), 0);
         prop_assert_eq!(responses.len(), n);
         for r in &responses {

@@ -1,15 +1,21 @@
-//! Paged block storage for incremental-decoding KV caches.
+//! Paged block storage for incremental-decoding KV caches, and the one
+//! KV arena and session both decoders keep their caches in.
 //!
-//! The incremental decoders used to give every session a flat
-//! [`Mat`] per layer, reserved to the model's `max_len` up front —
-//! worst-case provisioning that caps how many sessions fit in a fixed
-//! memory budget. [`KvPool`] replaces that with the classic paged
-//! layout: storage is a set of fixed-size **pages** (`page_rows × cols`
-//! each), a free list recycles pages across sessions, and every
-//! sequence is a [`KvSeq`] *block table* — an ordered list of page
-//! indices plus a logical row count. Sessions allocate pages on demand
-//! as rows are pushed, shrink across page boundaries on rollback, and
-//! release every page copy-free on retirement.
+//! [`KvPool`] is the classic paged layout: storage is a set of
+//! fixed-size **pages** (`page_rows × cols` each), a free list recycles
+//! pages across sessions, and every sequence is a [`KvSeq`] *block
+//! table* — an ordered list of page indices plus a logical row count.
+//! Sequences allocate pages on demand as rows are pushed, shrink across
+//! page boundaries on rollback, and release every page copy-free on
+//! retirement.
+//!
+//! On top of it, [`KvArena`] holds a model's K and V pools and
+//! [`KvSession`] one decoding session's per-layer block tables, fixed
+//! cross-attention K/V and position, with the session operations
+//! (fork, rollback, release, resident bytes). Both are generic over the
+//! element type: the FP32 decoder (`transformer::incremental`) caches
+//! f32 rows and the INT8 decoder (`quantized::incremental`) caches i8
+//! codes through the same code; each decoder only computes the rows.
 //!
 //! **Bit-identity:** a page stores exactly the rows that a flat `Mat`
 //! would hold, in the same order; [`KvPool::gather_panel`] copies them
@@ -99,11 +105,10 @@ pub struct KvPool<T> {
     /// of every shared page.
     refs: Vec<u32>,
     free: Vec<usize>,
-    max_pages: Option<usize>,
 }
 
 impl<T: Copy + Default> KvPool<T> {
-    /// An unbounded pool of `page_rows × cols` pages.
+    /// A pool of `page_rows × cols` pages.
     ///
     /// # Panics
     ///
@@ -117,16 +122,7 @@ impl<T: Copy + Default> KvPool<T> {
             pages: Vec::new(),
             refs: Vec::new(),
             free: Vec::new(),
-            max_pages: None,
         }
-    }
-
-    /// A pool that refuses to allocate more than `max_pages` pages
-    /// (the fixed KV memory budget of a serving host).
-    pub fn with_max_pages(page_rows: usize, cols: usize, max_pages: usize) -> Self {
-        let mut p = Self::new(page_rows, cols);
-        p.max_pages = Some(max_pages);
-        p
     }
 
     /// Rows per page.
@@ -173,12 +169,6 @@ impl<T: Copy + Default> KvPool<T> {
             self.refs[i] = 1;
             return i;
         }
-        if let Some(max) = self.max_pages {
-            assert!(
-                self.pages.len() < max,
-                "KV pool exhausted: {max} pages allocated and none free"
-            );
-        }
         self.pages.push(Mat::zeros(self.page_rows, self.cols));
         self.refs.push(1);
         self.pages.len() - 1
@@ -214,8 +204,7 @@ impl<T: Copy + Default> KvPool<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `row.len() != cols`, or the pool's page budget
-    /// ([`KvPool::with_max_pages`]) is exhausted.
+    /// Panics if `row.len() != cols`.
     pub fn push_row(&mut self, seq: &mut KvSeq, row: &[T]) {
         assert_eq!(
             row.len(),
@@ -339,6 +328,279 @@ impl<T: Copy + Default> KvPool<T> {
     pub fn release(&mut self, seq: &mut KvSeq) {
         self.truncate(seq, 0);
     }
+
+    /// Panics unless the pool's accounting matches `seqs`, which must be
+    /// every live block table grown in this pool: each page's refcount
+    /// equals the number of tables that list it, and
+    /// [`KvPool::pages_in_use`] equals the number of referenced pages.
+    pub fn check_refcounts<'a>(&self, seqs: impl IntoIterator<Item = &'a KvSeq>) {
+        let mut listed = vec![0u32; self.pages.len()];
+        for seq in seqs {
+            for &p in &seq.pages {
+                listed[p] += 1;
+            }
+        }
+        for (p, (&refs, &want)) in self.refs.iter().zip(&listed).enumerate() {
+            assert_eq!(
+                refs, want,
+                "page {p}: refcount {refs} but {want} block tables list it"
+            );
+        }
+        let referenced = self.refs.iter().filter(|&&r| r > 0).count();
+        assert_eq!(
+            self.pages_in_use(),
+            referenced,
+            "pages_in_use disagrees with the referenced page count"
+        );
+    }
+}
+
+/// A decoder whose self-attention K/V rows page into a [`KvArena`]:
+/// the model fixes the arena's element type and row width.
+pub trait KvModel {
+    /// Cached element type (f32 rows or INT8 codes).
+    type Elem;
+    /// Width of a cached K/V row (the decoder's `d_model`).
+    fn kv_cols(&self) -> usize;
+}
+
+/// The shared paged store for one model's decoder self-attention K/V:
+/// one [`KvPool`] for keys and one for values, serving every session
+/// and every decoder layer (all caches are `d_model` wide). Create one
+/// per engine (or one per decode for the convenience entry points) and
+/// pass it to every call on the sessions started in it.
+///
+/// Page height defaults to [`DEFAULT_PAGE_ROWS`] and is overridable via
+/// the `ACCEL_KV_PAGE` environment variable (read at construction).
+#[derive(Debug)]
+pub struct KvArena<T> {
+    k: KvPool<T>,
+    v: KvPool<T>,
+}
+
+impl<T: Copy + Default> KvArena<T> {
+    /// An arena for caches `cols` wide, with the page height taken from
+    /// `ACCEL_KV_PAGE` (default [`DEFAULT_PAGE_ROWS`]).
+    pub fn new(cols: usize) -> Self {
+        Self::with_page_rows(cols, page_rows_from_env(DEFAULT_PAGE_ROWS))
+    }
+
+    /// An arena sized for `model`'s decoder caches.
+    pub fn for_model<M: KvModel<Elem = T>>(model: &M) -> Self {
+        Self::new(model.kv_cols())
+    }
+
+    /// An arena with an explicit page height (tests pin this so their
+    /// page-boundary assertions hold under any `ACCEL_KV_PAGE`).
+    pub fn with_page_rows(cols: usize, page_rows: usize) -> Self {
+        Self {
+            k: KvPool::new(page_rows, cols),
+            v: KvPool::new(page_rows, cols),
+        }
+    }
+
+    /// Rows per page.
+    pub fn page_rows(&self) -> usize {
+        self.k.page_rows()
+    }
+
+    /// Bytes resident in pages currently held by live sessions (whole
+    /// pages, K and V pools together; a shared page counts once) — the
+    /// serving memory budget's denominator.
+    pub fn kv_bytes_in_use(&self) -> usize {
+        self.k.bytes_in_use() + self.v.bytes_in_use()
+    }
+
+    /// High-water bytes ever allocated (live + free-listed pages).
+    pub fn kv_bytes_allocated(&self) -> usize {
+        self.k.bytes_allocated() + self.v.bytes_allocated()
+    }
+
+    /// Pages held by live sessions across both pools.
+    pub fn pages_in_use(&self) -> usize {
+        self.k.pages_in_use() + self.v.pages_in_use()
+    }
+
+    /// The key pool (attention kernels read a session's pages from it).
+    pub fn key_pool(&self) -> &KvPool<T> {
+        &self.k
+    }
+
+    /// The value pool.
+    pub fn val_pool(&self) -> &KvPool<T> {
+        &self.v
+    }
+
+    /// Panics unless both pools' refcounts match `sessions`, which must
+    /// be every session holding pages in this arena (see
+    /// [`KvPool::check_refcounts`]).
+    pub fn check_refcounts<'a>(&self, sessions: impl IntoIterator<Item = &'a KvSession<T>>)
+    where
+        T: 'a,
+    {
+        let sessions: Vec<&KvSession<T>> = sessions.into_iter().collect();
+        let layers = || sessions.iter().flat_map(|s| &s.layers);
+        self.k.check_refcounts(layers().map(|l| &l.self_k));
+        self.v.check_refcounts(layers().map(|l| &l.self_v));
+    }
+}
+
+/// One decoder layer's cache: the paged self-attention K/V so far, and
+/// the fixed cross-attention K/V of the encoder memory (exact-size flat
+/// matrices — their length is the source length, known up front).
+#[derive(Debug)]
+struct LayerKv<T> {
+    self_k: KvSeq,
+    self_v: KvSeq,
+    cross_k: Mat<T>,
+    cross_v: Mat<T>,
+}
+
+/// The KV state of one decoding session over one source sentence: per
+/// decoder layer, self-attention block tables into the [`KvArena`] the
+/// session was started in plus the cross-attention K/V, and the number
+/// of target rows consumed. Every method taking an arena must be given
+/// that same arena. A fresh session holds no pages; call
+/// [`release`](Self::release) when done (dropping a session without
+/// releasing it leaks its pages until the arena is dropped).
+#[derive(Debug)]
+pub struct KvSession<T> {
+    layers: Vec<LayerKv<T>>,
+    pos: usize,
+}
+
+impl<T: Copy + Default> KvSession<T> {
+    /// A fresh session (position 0, no pages) over each decoder layer's
+    /// cross-attention `(K, V)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cross-attention K/V width differs from the arena's.
+    pub fn new(arena: &KvArena<T>, cross: impl IntoIterator<Item = (Mat<T>, Mat<T>)>) -> Self {
+        let layers = cross
+            .into_iter()
+            .map(|(cross_k, cross_v)| {
+                assert!(
+                    cross_k.cols() == arena.k.cols() && cross_v.cols() == arena.v.cols(),
+                    "arena width does not match the model's d_model"
+                );
+                LayerKv {
+                    self_k: KvSeq::new(),
+                    self_v: KvSeq::new(),
+                    cross_k,
+                    cross_v,
+                }
+            })
+            .collect();
+        Self { layers, pos: 0 }
+    }
+
+    /// Target rows consumed so far.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Encoder memory length the cross-attention attends over.
+    pub fn memory_rows(&self) -> usize {
+        self.layers.first().map_or(0, |l| l.cross_k.rows())
+    }
+
+    /// Layer `layer`'s self-attention `(K, V)` block tables.
+    pub fn self_kv(&self, layer: usize) -> (&KvSeq, &KvSeq) {
+        let l = &self.layers[layer];
+        (&l.self_k, &l.self_v)
+    }
+
+    /// Layer `layer`'s cross-attention `(K, V)`.
+    pub fn cross_kv(&self, layer: usize) -> (&Mat<T>, &Mat<T>) {
+        let l = &self.layers[layer];
+        (&l.cross_k, &l.cross_v)
+    }
+
+    /// Appends one projected row to layer `layer`'s self-attention K
+    /// and V. [`advance`](Self::advance) moves the position once every
+    /// layer holds the step's rows.
+    pub fn push_kv(&mut self, arena: &mut KvArena<T>, layer: usize, k: &[T], v: &[T]) {
+        let l = &mut self.layers[layer];
+        arena.k.push_row(&mut l.self_k, k);
+        arena.v.push_row(&mut l.self_v, v);
+    }
+
+    /// Moves the position past `rows` rows already pushed to every layer.
+    pub fn advance(&mut self, rows: usize) {
+        self.pos += rows;
+    }
+
+    /// Bytes of paged KV storage resident for this session (whole
+    /// pages, K and V, all layers; pages shared with a fork count here
+    /// too).
+    pub fn resident_kv_bytes(&self, arena: &KvArena<T>) -> usize {
+        let rows: usize = self
+            .layers
+            .iter()
+            .map(|l| arena.k.resident_rows(&l.self_k) + arena.v.resident_rows(&l.self_v))
+            .sum();
+        rows * arena.k.cols() * std::mem::size_of::<T>()
+    }
+
+    /// Rewinds the session by `rows` steps, dropping the newest cached
+    /// K/V rows from every layer. The caches hold *inputs* to the
+    /// datapath, so replaying the same tokens afterwards is
+    /// bit-identical to the first attempt. A page emptied by the
+    /// rollback goes back to the free list once its last reference is
+    /// dropped; rolling back into a page shared with a fork never
+    /// mutates it (the re-push copies-on-write).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is zero or exceeds the rows consumed.
+    pub fn rollback_rows(&mut self, arena: &mut KvArena<T>, rows: usize) {
+        assert!(rows > 0, "rollback of zero rows");
+        assert!(
+            self.pos >= rows,
+            "rollback_step on a fresh session (pos {} < rows {rows})",
+            self.pos
+        );
+        self.pos -= rows;
+        for l in &mut self.layers {
+            arena.k.truncate(&mut l.self_k, self.pos);
+            arena.v.truncate(&mut l.self_v, self.pos);
+        }
+    }
+
+    /// Returns every KV page this session holds to the arena's free
+    /// list (copy-free). The session is back to a fresh state
+    /// (`pos == 0`) but remains usable.
+    pub fn release(&mut self, arena: &mut KvArena<T>) {
+        self.pos = 0;
+        for l in &mut self.layers {
+            arena.k.release(&mut l.self_k);
+            arena.v.release(&mut l.self_v);
+        }
+    }
+
+    /// Forks this session: the child sees the same consumed prefix at
+    /// the same position, **sharing** every full KV page with the
+    /// parent (refcount bump; only partially-filled tail pages are
+    /// copied) and cloning the cross-attention K/V. Parent and child
+    /// then advance, roll back and release independently — divergent
+    /// pushes copy-on-write, so neither can perturb the other's bits.
+    pub fn fork(&self, arena: &mut KvArena<T>) -> Self {
+        let layers = self
+            .layers
+            .iter()
+            .map(|l| LayerKv {
+                self_k: arena.k.fork(&l.self_k),
+                self_v: arena.v.fork(&l.self_v),
+                cross_k: l.cross_k.clone(),
+                cross_v: l.cross_v.clone(),
+            })
+            .collect();
+        Self {
+            layers,
+            pos: self.pos,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -369,11 +631,9 @@ mod tests {
     fn gather_panel_matches_flat_submatrix() {
         let mut pool = KvPool::<i8>::new(3, 8);
         let mut seq = KvSeq::new();
-        let mut flat = Mat::zeros(0, 8);
+        let flat = Mat::from_fn(7, 8, |r, c| (r * 8 + c) as i8);
         for r in 0..7 {
-            let row: Vec<i8> = (0..8).map(|c| (r * 8 + c) as i8).collect();
-            pool.push_row(&mut seq, &row);
-            flat.push_row(&row);
+            pool.push_row(&mut seq, flat.row(r));
         }
         for (c0, w) in [(0usize, 8usize), (2, 4), (6, 2)] {
             assert_eq!(
@@ -427,14 +687,6 @@ mod tests {
         pool.release(&mut seq);
         assert_eq!(pool.bytes_in_use(), 0);
         assert_eq!(pool.bytes_allocated(), 4 * 8 * 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "KV pool exhausted")]
-    fn page_budget_is_enforced() {
-        let mut pool = KvPool::<i8>::with_max_pages(2, 2, 1);
-        let mut seq = KvSeq::new();
-        fill(&mut pool, &mut seq, 3, 0);
     }
 
     #[test]
@@ -527,6 +779,27 @@ mod tests {
         let _b = pool.fork(&a);
         // Fully page-aligned fork: zero extra bytes.
         assert_eq!(pool.bytes_in_use(), 64);
+    }
+
+    #[test]
+    fn refcount_check_counts_every_holder() {
+        let mut pool = KvPool::<i8>::new(4, 2);
+        let mut a = KvSeq::new();
+        fill(&mut pool, &mut a, 10, 1);
+        let b = pool.fork(&a);
+        pool.check_refcounts([&a, &b]);
+        pool.release(&mut a);
+        pool.check_refcounts([&b]);
+    }
+
+    #[test]
+    #[should_panic(expected = "block tables list it")]
+    fn refcount_check_catches_an_unlisted_holder() {
+        let mut pool = KvPool::<i8>::new(4, 2);
+        let mut a = KvSeq::new();
+        fill(&mut pool, &mut a, 8, 1);
+        let _b = pool.fork(&a);
+        pool.check_refcounts([&a]);
     }
 
     #[test]

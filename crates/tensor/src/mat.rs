@@ -184,62 +184,6 @@ impl<T: Copy + Default> Mat<T> {
         Ok(out)
     }
 
-    /// Appends one row in place (amortized O(cols) — the backing `Vec`
-    /// grows geometrically, unlike rebuilding through [`Mat::vconcat`]).
-    /// The KV caches of the incremental decoders push one row per token
-    /// through this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != cols`.
-    pub fn push_row(&mut self, row: &[T]) {
-        assert_eq!(
-            row.len(),
-            self.cols,
-            "push_row width {} != cols {}",
-            row.len(),
-            self.cols
-        );
-        self.data.extend_from_slice(row);
-        self.rows += 1;
-    }
-
-    /// Drops every row past the first `rows`, keeping the backing
-    /// capacity — the inverse of [`Mat::push_row`]. The serving layer's
-    /// retry-with-recompute policy truncates each KV cache by one row to
-    /// roll a decode step back before re-running it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` exceeds the current row count.
-    pub fn truncate_rows(&mut self, rows: usize) {
-        assert!(
-            rows <= self.rows,
-            "truncate_rows {rows} exceeds current rows {}",
-            self.rows
-        );
-        self.data.truncate(rows * self.cols);
-        self.rows = rows;
-    }
-
-    /// Reserves backing storage for at least `additional` more rows, so
-    /// subsequent [`Mat::push_row`] calls up to that count never
-    /// reallocate. The incremental decoders reserve `max_len` rows per
-    /// KV cache at session creation instead of growing geometrically
-    /// token by token.
-    pub fn reserve_rows(&mut self, additional: usize) {
-        self.data.reserve(additional * self.cols);
-    }
-
-    /// Number of rows the backing storage can hold without reallocating
-    /// (equals [`Mat::rows`] rounded up to the current capacity).
-    pub fn row_capacity(&self) -> usize {
-        self.data
-            .capacity()
-            .checked_div(self.cols)
-            .unwrap_or(usize::MAX)
-    }
-
     /// Returns a copy zero-padded (with `T::default()`) to `rows x cols`.
     ///
     /// # Panics
@@ -409,39 +353,6 @@ impl<T: Copy + Default> Default for Mat<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn push_row_matches_vconcat() {
-        let mut grown = Mat::<i8>::zeros(0, 3);
-        let mut parts: Vec<Mat<i8>> = Vec::new();
-        for r in 0..5i8 {
-            let row = Mat::from_vec(1, 3, vec![r, r + 1, r + 2]).unwrap();
-            grown.push_row(row.row(0));
-            parts.push(row);
-        }
-        assert_eq!(grown, Mat::vconcat(&parts).unwrap());
-        assert_eq!(grown.shape(), (5, 3));
-    }
-
-    #[test]
-    fn reserve_rows_prevents_push_row_reallocation() {
-        let mut m = Mat::<i8>::zeros(0, 4);
-        m.reserve_rows(16);
-        assert!(m.row_capacity() >= 16);
-        let before = m.row_capacity();
-        for r in 0..16i8 {
-            m.push_row(&[r, r, r, r]);
-        }
-        assert_eq!(m.row_capacity(), before, "push_row must not reallocate");
-        assert_eq!(m.rows(), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "push_row width")]
-    fn push_row_rejects_wrong_width() {
-        let mut m = Mat::<i8>::zeros(0, 3);
-        m.push_row(&[1, 2]);
-    }
 
     #[test]
     fn zeros_and_shape() {

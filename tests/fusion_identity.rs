@@ -27,7 +27,7 @@ use transformer_accel::serving::{ContinuousBatcher, EngineConfig, Request, Respo
 use transformer_accel::tensor::{envcfg, Mat};
 use transformer_accel::transformer::config::ModelConfig;
 use transformer_accel::transformer::ffn::FfnResBlock;
-use transformer_accel::transformer::incremental::{greedy_decode_incremental_paged, PagedKvMode};
+use transformer_accel::transformer::incremental::greedy_decode_incremental;
 use transformer_accel::transformer::mha::MhaResBlock;
 use transformer_accel::transformer::model::Seq2SeqTransformer;
 use transformer_accel::transformer::tasks::{Task, TaskGen, BOS, EOS};
@@ -101,9 +101,7 @@ fn row_exec_incremental_decode_is_bit_identical() {
     let _l = FuseLock::acquire();
     let (mut model, _, srcs) = models(0xF10A);
     for src in srcs.iter().take(3) {
-        let (f, u) = both_ways(|| {
-            greedy_decode_incremental_paged(&model, src, BOS, EOS, 8, PagedKvMode::Fp32)
-        });
+        let (f, u) = both_ways(|| greedy_decode_incremental(&model, src, BOS, EOS, 8));
         assert_eq!(f, u, "RowExec decode diverged under fusion, src {src:?}");
         // And against the full-prefix recompute, so the fused cached
         // path stays anchored to the reference, not just to itself.

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serving::{ContinuousBatcher, EngineConfig, Request, Response};
 use transformer::config::ModelConfig;
-use transformer::incremental::{FpKvArena, IncrementalSession, PagedKvMode};
+use transformer::incremental::{FpKvArena, IncrementalSession};
 use transformer::model::Seq2SeqTransformer;
 use transformer::tasks::{Task, TaskGen, BOS};
 
@@ -86,62 +86,57 @@ fn fp32_decode_from_forked_prefix_is_byte_identical_to_cold_start() {
     let prompt: Vec<usize> = src.iter().cycle().take(13).copied().collect();
     let mut target = vec![BOS];
     target.extend_from_slice(&prompt);
-    for mode in [PagedKvMode::Fp32, PagedKvMode::Int8] {
-        let mut arena = FpKvArena::with_page_rows(cfg.d_model, mode, 4);
-        let (want_bits, want_tokens) = fp32_cold_decode(&model, &mut arena, src, &target, 6);
+    let mut arena = FpKvArena::with_page_rows(cfg.d_model, 4);
+    let (want_bits, want_tokens) = fp32_cold_decode(&model, &mut arena, src, &target, 6);
 
-        // Build the cache entry the way the engine does: full prefill,
-        // fork, roll the fork back to a page boundary.
-        let mut live = IncrementalSession::new(&model, &mut arena, src);
-        for &t in &target {
-            let _ = live.step(&model, &mut arena, t);
-        }
-        let aligned = (target.len() / 4) * 4;
-        let mut entry = live.fork(&mut arena);
-        entry.rollback_rows(&mut arena, target.len() - aligned);
-        live.release(&mut arena);
-
-        // Hit: fork the entry, replay only the suffix, decode. Every
-        // logits row must match the cold run bit for bit.
-        let mut hit = entry.fork(&mut arena);
-        let mut logits = Vec::new();
-        for &t in &target[aligned..] {
-            logits = hit.step(&model, &mut arena, t);
-        }
-        let (bits, tokens) = fp32_greedy(&model, &mut arena, &mut hit, logits, 6);
-        assert_eq!(tokens, want_tokens, "mode {mode:?}");
-        assert_eq!(
-            bits, want_bits,
-            "mode {mode:?}: logits must be byte-identical"
-        );
-
-        // Roll the hit session back *into* the shared region (mid page)
-        // and replay: the re-pushed rows must copy-on-write, and the
-        // replayed continuation stays byte-identical.
-        let back_to = aligned - 2;
-        hit.rollback_rows(&mut arena, hit.pos() - back_to);
-        let mut logits = Vec::new();
-        for &t in &target[back_to..] {
-            logits = hit.step(&model, &mut arena, t);
-        }
-        let (bits, tokens) = fp32_greedy(&model, &mut arena, &mut hit, logits, 6);
-        assert_eq!(tokens, want_tokens, "mode {mode:?} after mid-page rollback");
-        assert_eq!(bits, want_bits, "mode {mode:?} after mid-page rollback");
-        hit.release(&mut arena);
-
-        // The entry was never mutated by any of that: a fresh fork
-        // still reproduces the cold run.
-        let mut again = entry.fork(&mut arena);
-        let mut logits = Vec::new();
-        for &t in &target[aligned..] {
-            logits = again.step(&model, &mut arena, t);
-        }
-        let (bits, _) = fp32_greedy(&model, &mut arena, &mut again, logits, 6);
-        assert_eq!(bits, want_bits, "mode {mode:?}: entry must be immutable");
-        again.release(&mut arena);
-        entry.release(&mut arena);
-        assert_eq!(arena.kv_bytes_in_use(), 0, "mode {mode:?}: no page leaked");
+    // Build the cache entry the way the engine does: full prefill,
+    // fork, roll the fork back to a page boundary.
+    let mut live = IncrementalSession::new(&model, &mut arena, src);
+    for &t in &target {
+        let _ = live.step(&model, &mut arena, t);
     }
+    let aligned = (target.len() / 4) * 4;
+    let mut entry = live.fork(&mut arena);
+    entry.rollback_rows(&mut arena, target.len() - aligned);
+    live.release(&mut arena);
+
+    // Hit: fork the entry, replay only the suffix, decode. Every
+    // logits row must match the cold run bit for bit.
+    let mut hit = entry.fork(&mut arena);
+    let mut logits = Vec::new();
+    for &t in &target[aligned..] {
+        logits = hit.step(&model, &mut arena, t);
+    }
+    let (bits, tokens) = fp32_greedy(&model, &mut arena, &mut hit, logits, 6);
+    assert_eq!(tokens, want_tokens);
+    assert_eq!(bits, want_bits, "logits must be byte-identical");
+
+    // Roll the hit session back *into* the shared region (mid page)
+    // and replay: the re-pushed rows must copy-on-write, and the
+    // replayed continuation stays byte-identical.
+    let back_to = aligned - 2;
+    hit.rollback_rows(&mut arena, hit.pos() - back_to);
+    let mut logits = Vec::new();
+    for &t in &target[back_to..] {
+        logits = hit.step(&model, &mut arena, t);
+    }
+    let (bits, tokens) = fp32_greedy(&model, &mut arena, &mut hit, logits, 6);
+    assert_eq!(tokens, want_tokens, "after mid-page rollback");
+    assert_eq!(bits, want_bits, "after mid-page rollback");
+    hit.release(&mut arena);
+
+    // The entry was never mutated by any of that: a fresh fork
+    // still reproduces the cold run.
+    let mut again = entry.fork(&mut arena);
+    let mut logits = Vec::new();
+    for &t in &target[aligned..] {
+        logits = again.step(&model, &mut arena, t);
+    }
+    let (bits, _) = fp32_greedy(&model, &mut arena, &mut again, logits, 6);
+    assert_eq!(bits, want_bits, "entry must be immutable");
+    again.release(&mut arena);
+    entry.release(&mut arena);
+    assert_eq!(arena.kv_bytes_in_use(), 0, "no page leaked");
 }
 
 fn decoded(responses: &[Response]) -> Vec<(u64, Vec<usize>, bool)> {
@@ -180,7 +175,11 @@ fn int8_engine_shared_prefix_serving_is_bit_identical_to_cold() {
         for r in reqs() {
             engine.submit(r).unwrap();
         }
-        (decoded(&engine.run_to_completion()), engine.stats())
+        let responses = engine.run_to_completion();
+        // Cached prefix snapshots still hold pages here: every refcount
+        // must match the block tables of the cache entries.
+        engine.check_invariants();
+        (decoded(&responses), engine.stats())
     };
     let (cold_tokens, cold) = run(0);
     let (warm_tokens, warm) = run(usize::MAX);
